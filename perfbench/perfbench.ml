@@ -595,7 +595,10 @@ module Kv_run (Rt : Layers.RT) = struct
     ( {
         ops = completed;
         attempted = slo.slo_admitted;
-        failed = slo.slo_admitted - completed;
+        (* Shed and timed-out requests are the guard's deliberate
+           refusals, counted by [goodput]; a request fails when its
+           execution hits pool exhaustion. *)
+        failed = slo.slo_exhausted;
         setup_ns = W.setup_ns ();
         run_ns = W.run_ns ();
         heap_mb = heap_mb ();
