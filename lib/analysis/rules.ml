@@ -18,14 +18,15 @@
      context; they are legal only on locked/reserved windows (Write)
      or in sequential code (Other).
 
-   SMR-implementation files (schemes, the pool, the shared base) are
+   SMR-implementation files (schemes, the pool, the scheme kernel) are
    exempt from the client rules — they *implement* the guards — and
    instead get per-scheme-family R2 checks over summary closures:
    NBR/HP/HE/IBR phase entry must install a restart checkpoint,
    NBR-family read_ptr must poll for neutralization, HP/HE/IBR
    read_ptr must publish a reservation *and* validate slot liveness
    (the PR 4 unvalidated-ratchet bug class), and EBR-family begin_op
-   must publish an epoch. *)
+   must publish an epoch.  A checked verb the summaries cannot resolve
+   is itself a finding. *)
 
 type phase_ctx = Other | Read | Write
 
@@ -59,14 +60,33 @@ let check_scheme (sum : Summary.t) (info : Summary.info) : Findings.t list =
   | None -> []
   | Some s ->
       let fs = ref [] in
+      let report loc fn msg =
+        fs :=
+          Findings.v ~rule:rule_r2 ~file:info.path ~loc
+            (Printf.sprintf "scheme %s: %s %s" s fn msg)
+          :: !fs
+      in
+      (* A verb the summaries cannot see (defined behind a module the
+         analyzer does not resolve) must not pass its family check: the
+         unresolved verbs are reported together at [scheme_name]. *)
+      let scheme_loc =
+        match Summary.lookup_fn sum info "scheme_name" with
+        | Some e -> e.Summary.ent_loc
+        | None -> Location.none
+      in
+      let unresolved = ref [] in
       let check fn bit msg =
         match Summary.lookup_fn sum info fn with
-        | Some e when e.Summary.closure land bit = 0 ->
-            fs :=
-              Findings.v ~rule:rule_r2 ~file:info.path ~loc:e.Summary.ent_loc
-                (Printf.sprintf "scheme %s: %s %s" s fn msg)
-              :: !fs
-        | _ -> ()
+        | Some e ->
+            (* A verb inherited through an [include] is reported in this
+               file, at [scheme_name]. *)
+            let loc =
+              if Hashtbl.mem info.fns fn then e.Summary.ent_loc else scheme_loc
+            in
+            if e.Summary.closure land bit = 0 then report loc fn msg
+        | None ->
+            if not (List.mem fn !unresolved) then
+              unresolved := fn :: !unresolved
       in
       (match family_of_scheme s with
       | Neutralization ->
@@ -88,6 +108,10 @@ let check_scheme (sum : Summary.t) (info : Summary.info) : Findings.t list =
           check "begin_op" Summary.shared_write
             "does not publish an epoch or quiescence announcement"
       | Foil | Unknown_family -> ());
+      if !unresolved <> [] then
+        report scheme_loc
+          (String.concat ", " (List.rev !unresolved))
+          "not resolvable";
       List.rev !fs
 
 (* ------------------------------------------------------------------ *)

@@ -250,13 +250,27 @@ type resolution =
 
 let raise_like = [ "raise"; "raise_notrace"; "failwith"; "invalid_arg" ]
 
+(* The analyzed file named [m] as seen from [info]: module names are
+   unique within a library but not across the tree (lib/core/nbr.ml and
+   the lib/nbr/nbr.ml umbrella), so a sibling in [info]'s own library
+   directory wins. *)
+let find_mod (t : t) (info : info) m =
+  match Hashtbl.find_all t.by_mod m with
+  | [] -> None
+  | [ i ] -> Some i
+  | is -> (
+      let dir = Filename.dirname info.path in
+      match List.find_opt (fun i -> Filename.dirname i.path = dir) is with
+      | Some i -> Some i
+      | None -> Some (List.hd is))
+
 let lookup_fn (t : t) (info : info) name =
   match Hashtbl.find_opt info.fns name with
   | Some e -> Some e
   | None ->
       List.find_map
         (fun m ->
-          match Hashtbl.find_opt t.by_mod m with
+          match find_mod t info m with
           | Some i -> Hashtbl.find_opt i.fns name
           | None -> None)
         info.includes
@@ -280,7 +294,7 @@ let resolve_ident (t : t) (info : info) (lid : Longident.t) : resolution =
             | Some b -> R_bits b
             | None -> R_bits 0)
         | File m -> (
-            match Hashtbl.find_opt t.by_mod m with
+            match find_mod t info m with
             | Some i -> (
                 match Hashtbl.find_opt i.fns name with
                 | Some e -> R_entry e
@@ -543,7 +557,7 @@ let build (files : (string * Parsetree.structure) list) : t =
       files
   in
   let by_mod = Hashtbl.create 64 in
-  List.iter (fun i -> Hashtbl.replace by_mod i.modname i) infos;
+  List.iter (fun i -> Hashtbl.add by_mod i.modname i) infos;
   let t = { infos; by_mod } in
   let snapshot () =
     List.map

@@ -57,6 +57,8 @@ type info = {
 }
 
 type t = { infos : info list; by_mod : (string, info) Hashtbl.t }
+(** [by_mod] may bind a module name more than once (one per library
+    that defines it); resolution prefers the referrer's own library. *)
 
 val build : (string * Parsetree.structure) list -> t
 (** Compute summaries for a set of parsed files, iterating the

@@ -17,49 +17,27 @@
 
     Bounded: a stalled thread pins at most its published eras' records. *)
 
-module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  module P = Nbr_pool.Pool.Make (Rt)
-  module L = Lifecycle.Make (Rt)
+module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  let empty_slot = -1
 
-  type aint = Rt.aint
-  type pool = P.t
-
-  type t = {
-    pool : P.t;
-    n : int;
-    cfg : Smr_config.t;
+  type shared = {
     window : int;
     era : Rt.aint;
     slots : Rt.aint array array;  (** published eras; -1 = empty *)
     birth : Rt.aint array;
     retire_era : Rt.aint array;
-    lc : L.t;
-    done_stats : Smr_stats.t;
-    mutable ctxs : ctx option array;
-    mutable offload : Smr_intf.Offload.t option;
   }
 
-  and ctx = {
-    b : t;
-    tid : int;
+  type local = {
     bag : Limbo_bag.t;
-    st : Smr_stats.t;
     mutable hpi : int;
     mutable alloc_count : int;
     scratch : int array;  (** collected eras at reclamation *)
   }
 
-  let scheme_name = "he"
-  let bounded_garbage = true
-  let empty_slot = -1
-
-  let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
+  let init ~capacity ~nthreads cfg =
     let window = cfg.Smr_config.max_reservations + 2 in
     {
-      pool;
-      n = nthreads;
-      cfg;
       window;
       (* Padded era + per-thread SWMR era slots; per-record birth/retire
          stamps stay unpadded (capacity-sized, accessed with the record). *)
@@ -67,151 +45,50 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       slots =
         Array.init nthreads (fun _ ->
             Array.init window (fun _ -> Rt.make_padded empty_slot));
-      birth = Array.init (P.capacity pool) (fun _ -> Rt.make 0);
-      retire_era = Array.init (P.capacity pool) (fun _ -> Rt.make 0);
-      lc = L.create ~nthreads;
-      done_stats = Smr_stats.zero ();
-      ctxs = Array.make nthreads None;
-      offload = None;
+      birth = Array.init capacity (fun _ -> Rt.make 0);
+      retire_era = Array.init capacity (fun _ -> Rt.make 0);
     }
 
-  let set_offload b o = b.offload <- o
+  let init_local s ~nthreads _ =
+    {
+      bag = Limbo_bag.create ();
+      hpi = 0;
+      alloc_count = 0;
+      scratch = Array.make (nthreads * s.window) 0;
+    }
 
-  let register b ~tid =
-    L.reset_slot b.lc tid;
-    let c =
-      {
-        b;
-        tid;
-        bag = Limbo_bag.create ();
-        st = Smr_stats.zero ();
-        hpi = 0;
-        alloc_count = 0;
-        scratch = Array.make (b.n * b.window) 0;
-      }
-    in
-    b.ctxs.(tid) <- Some c;
-    c
+  let buffered l = Limbo_bag.size l.bag
+  let drain l f = ignore (Limbo_bag.drain l.bag f)
 
-  let begin_op c =
-    L.check_self c.b.lc c.tid;
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Begin_op 0
-        0
-
-  (* Orphan birth/retire eras live in the t-level metadata arrays, so the
-     slots alone carry everything the era sweep needs. *)
-  let adopt_orphans c =
-    let n =
-      L.adopt c.b.lc ~tid:c.tid ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then Smr_stats.note_garbage c.st (Limbo_bag.size c.bag)
-
-  (* Limbo-bag externalization (DESIGN.md §12).  Birth/retire eras live in
-     the t-level metadata arrays, so handed-off slots carry everything the
-     collector's era sweep needs — the orphan-parcel argument. *)
-
-  let limbo_size c = Limbo_bag.size c.bag
-
-  let export_bag c =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
-
-  let hand_off c = export_bag c
-
-  let maybe_offload c =
-    match c.b.offload with
-    | None -> false
-    | Some o ->
-        let count = Limbo_bag.size c.bag in
-        count > 0
-        && Smr_intf.Offload.try_accept o ~tid:c.tid ~ns:(Rt.now_ns ()) ~count
-        &&
-        (ignore (export_bag c);
-         true)
-
-  let collect_handoffs c =
-    let n =
-      L.take_handoffs c.b.lc ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then begin
-      Smr_stats.note_garbage c.st (Limbo_bag.size c.bag);
-      match c.b.offload with
-      | Some o ->
-          Smr_intf.Offload.note_collected o ~tid:c.tid ~ns:(Rt.now_ns ())
-            ~count:n
-      | None ->
-          if !Nbr_obs.Trace.on then
-            Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-              Nbr_obs.Trace.Handoff_collect n 0
-    end;
-    n
-
-  let end_op c =
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.End_op 0 0;
-    let sl = c.b.slots.(c.tid) in
-    for i = 0 to c.b.window - 1 do
-      Rt.store sl.(i) empty_slot
-    done;
-    if L.has_orphans c.b.lc && L.is_active c.b.lc c.tid then adopt_orphans c
+  (* Birth/retire eras live in the shared metadata arrays, so adopted and
+     handed-off slots carry everything the era sweep needs. *)
+  let adopt _ l slot = Limbo_bag.push l.bag slot
 
   (* Retract [tid]'s published eras so they stop pinning records. *)
-  let retract_published b tid =
-    let sl = b.slots.(tid) in
-    for i = 0 to b.window - 1 do
+  let retract s tid =
+    let sl = s.slots.(tid) in
+    for i = 0 to s.window - 1 do
       Rt.store sl.(i) empty_slot
     done
 
-  let orphan_ctx b ~into (vc : ctx) =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep vc.bag ~upto:(Limbo_bag.abs_tail vc.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_parcel b.lc ~origin:vc.tid !slots;
-    Smr_stats.add into vc.st;
-    b.ctxs.(vc.tid) <- None
+  (* HE is bounded, so it takes part in crash recovery; no signals to
+     re-send. *)
+  let recovery =
+    Scheme_kernel.Reap { retract; on_round = (fun ~peer:_ ~round:_ -> ()) }
+end
 
-  let deregister c =
-    if L.depart c.b.lc c.tid then begin
-      (* Hand the departing thread's magazine caches back to the depot:
-         an abandoned magazine would strand up to a magazine's worth of
-         free slots per size class.  Safe here: we won the depart CAS, so
-         no watchdog owns this tid's state. *)
-      P.flush_thread c.b.pool ~tid:c.tid;
-      retract_published c.b c.tid;
-      L.with_stats_lock c.b.lc (fun () ->
-          orphan_ctx c.b ~into:c.b.done_stats c)
-    end
+module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  module K = Scheme_kernel.Make (Rt) (Policy (Rt))
+  include K
+  open Policy (Rt)
 
-  (* Crash watchdog (see [Lifecycle]): HE is bounded, so it takes part in
-     recovery — a peer frozen past the death threshold is claimed, its
-     era slots cleared and its bag orphaned.  No signals to re-send. *)
-  let watchdog c =
-    L.scan c.b.lc ~self:c.tid ~timeout_ns:c.b.cfg.Smr_config.wd_timeout_ns
-      ~rounds:c.b.cfg.Smr_config.wd_rounds
-      ~on_round:(fun ~peer:_ ~round:_ -> ())
-      ~reap:(fun v ->
-        P.flush_thread c.b.pool ~tid:v;
-        retract_published c.b v;
-        match c.b.ctxs.(v) with
-        | None -> ()
-        | Some vc -> orphan_ctx c.b ~into:c.st vc)
+  let scheme_name = "he"
+  let bounded_garbage = true
 
-  let alloc_with ?cls c ~on_pressure =
-    let slot = P.alloc ~on_pressure ?cls c.b.pool in
-    c.alloc_count <- c.alloc_count + 1;
-    if c.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
-      ignore (Rt.faa c.b.era 1);
-    (* Era metadata is per slot, dense across size-classes/generations. *)
-    Rt.store c.b.birth.(P.uid c.b.pool slot) (Rt.load c.b.era);
-    slot
+  let end_op c =
+    trace_end_op c;
+    retract c.b.s c.tid;
+    adopt_pending c
 
   (* Protect-by-era: publish the current era in the next rotation slot,
      then read; if the era moved during the read, republish and re-read —
@@ -224,13 +101,13 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   exception Validation_failed
 
   let protected_read c cell =
-    let sl = c.b.slots.(c.tid) in
-    let i = c.hpi in
-    c.hpi <- (c.hpi + 1) mod c.b.window;
+    let sl = c.b.s.slots.(c.tid) in
+    let i = c.l.hpi in
+    c.l.hpi <- (c.l.hpi + 1) mod c.b.s.window;
     let rec go prev_e tries =
       if tries > 64 then raise Rt.Neutralized;
       let v = Rt.load cell in
-      let e = Rt.load c.b.era in
+      let e = Rt.load c.b.s.era in
       if e = prev_e then
         if v < 0 || P.live c.b.pool v then v
         else begin
@@ -242,7 +119,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         go e (tries + 1)
       end
     in
-    let e0 = Rt.load c.b.era in
+    let e0 = Rt.load c.b.s.era in
     ignore (Rt.xchg sl.(i) e0);
     match go e0 0 with
     | v ->
@@ -253,112 +130,68 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let read_root c root = protected_read c root
   let read_ptr c ~src ~field = protected_read c (P.ptr_cell c.b.pool src field)
 
-  (* Unlinked-record traversal cannot be protected by eras; unsafe with
-     mark-traversing structures (never benchmarked together). *)
-  let read_raw _c cell = Rt.load cell
-
-  (* Data reads only ever target records the traversal just protected by
-     era; a [Stale] result means protection was lost — abort the read
-     phase like a failed validation rather than consume recycled
-     memory. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale _ ->
-        Smr_stats.note_uaf c.st;
-        raise Rt.Neutralized
-
-  let phase c ~read ~write =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let payload, _recs = read () in
-          Smr_stats.uaf_commit c.st;
-          write payload)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
-
-  let read_only c f =
-    let attempts = ref 0 in
-    let out =
-      Rt.checkpoint (fun () ->
-          incr attempts;
-          if !attempts > 1 then Smr_stats.uaf_abort c.st;
-          let r = f () in
-          Smr_stats.uaf_commit c.st;
-          r)
-    in
-    Smr_stats.add_restarts c.st (!attempts - 1);
-    out
+  (* Unlinked-record traversal cannot be protected by eras, so [read_raw]
+     is the kernel's unguarded load: unsafe with mark-traversing
+     structures (never benchmarked together).  Data reads only ever
+     target records the traversal just protected by era; a [Stale] result
+     means protection was lost — abort the read phase like a failed
+     validation rather than consume recycled memory. *)
+  let read_data = restart_read_data
+  let peek_ptr = restart_peek_ptr
+  let phase = restartable_phase
+  let read_only = restartable_read_only
 
   (* Era scan + sweep — the threshold-crossing body of [retire], also run
      threshold-free under pool pressure.  Safe mid-operation: our own
      published eras are part of the scan, pinning anything we might still
      dereference. *)
-  let flush c =
+  let on_pressure c =
     watchdog c;
-    if Limbo_bag.size c.bag > 0 then begin
+    if Limbo_bag.size c.l.bag > 0 then begin
+      let s = c.b.s and l = c.l in
       let k = ref 0 in
       for t = 0 to c.b.n - 1 do
-        for i = 0 to c.b.window - 1 do
-          let e = Rt.load c.b.slots.(t).(i) in
+        for i = 0 to s.window - 1 do
+          let e = Rt.load s.slots.(t).(i) in
           if e >= 0 then begin
-            c.scratch.(!k) <- e;
+            l.scratch.(!k) <- e;
             incr k
           end
         done
       done;
-      let pinned s =
-        let u = P.uid c.b.pool s in
-        let birth = Rt.plain_load c.b.birth.(u) in
-        let death = Rt.plain_load c.b.retire_era.(u) in
+      let pinned slot =
+        let u = P.uid c.b.pool slot in
+        let birth = Rt.plain_load s.birth.(u) in
+        let death = Rt.plain_load s.retire_era.(u) in
         let hit = ref false in
         for j = 0 to !k - 1 do
-          if (not !hit) && c.scratch.(j) >= birth && c.scratch.(j) <= death
+          if (not !hit) && l.scratch.(j) >= birth && l.scratch.(j) <= death
           then hit := true
         done;
         !hit
       in
       let freed =
-        Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag) ~keep:pinned
-          ~free:(fun s -> P.free c.b.pool s)
+        Limbo_bag.sweep l.bag ~upto:(Limbo_bag.abs_tail l.bag) ~keep:pinned
+          ~free:(fun slot -> P.free c.b.pool slot)
       in
       Smr_stats.add_freed c.st freed;
       Smr_stats.add_reclaim_events c.st 1;
       if !Nbr_obs.Trace.on then
         Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed
-          (Limbo_bag.size c.bag)
+          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size l.bag)
     end
 
-  let on_pressure = flush
-  let alloc ?cls c = alloc_with ?cls c ~on_pressure:(fun () -> flush c)
+  let alloc ?cls c =
+    let slot = P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool in
+    c.l.alloc_count <- c.l.alloc_count + 1;
+    if c.l.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
+      ignore (Rt.faa c.b.s.era 1);
+    (* Era metadata is per slot, dense across size-classes/generations. *)
+    Rt.store c.b.s.birth.(P.uid c.b.pool slot) (Rt.load c.b.s.era);
+    slot
 
   let retire c slot =
-    P.note_retired c.b.pool slot;
-    Smr_stats.add_retires c.st 1;
-    Rt.store c.b.retire_era.(P.uid c.b.pool slot) (Rt.load c.b.era);
-    Limbo_bag.push c.bag slot;
-    if Limbo_bag.size c.bag >= c.b.cfg.Smr_config.bag_threshold then
-      if not (maybe_offload c) then flush c;
-    let g = Limbo_bag.size c.bag in
-    Smr_stats.note_garbage c.st g
-
-  let ctx_stats (c : ctx) = c.st
-
-  let stats b =
-    let acc = Smr_stats.zero () in
-    L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
-    Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
-    acc
+    note_retired c slot;
+    Rt.store c.b.s.retire_era.(P.uid c.b.pool slot) (Rt.load c.b.s.era);
+    buffer_retired c slot ~sweep:on_pressure
 end

@@ -65,6 +65,8 @@ let sweep t ~upto ~keep ~free =
   done;
   !freed
 
+let drain t f = sweep t ~upto:(abs_tail t) ~keep:(fun _ -> false) ~free:f
+
 let iter f t =
   for i = 0 to t.n - 1 do
     f t.a.((t.head + i) mod Array.length t.a)

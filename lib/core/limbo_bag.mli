@@ -40,5 +40,9 @@ val sweep : t -> upto:int -> keep:(int -> bool) -> free:(int -> unit) -> int
     re-appended at the tail, the rest are passed to [free].  Returns the
     number freed. *)
 
+val drain : t -> (int -> unit) -> int
+(** [drain t f] empties the bag, passing every entry to [f] oldest
+    first; returns the number drained. *)
+
 val iter : (int -> unit) -> t -> unit
 (** Visit every live entry, oldest first, without disturbing the bag. *)

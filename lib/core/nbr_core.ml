@@ -6,13 +6,14 @@
     any of them.
 
     {!Smr_config} and {!Smr_stats} are the shared knob/metric records;
-    {!Limbo_bag} is the per-thread retired-record buffer. *)
+    {!Limbo_bag} is the per-thread retired-record buffer;
+    {!Scheme_kernel} is the scaffolding every scheme is built on. *)
 
 module Smr_intf = Smr_intf
 module Smr_config = Smr_config
 module Smr_stats = Smr_stats
 module Limbo_bag = Limbo_bag
-module Nbr_base = Nbr_base
+module Scheme_kernel = Scheme_kernel
 module Nbr = Nbr
 module Nbr_plus = Nbr_plus
 module Debra = Debra

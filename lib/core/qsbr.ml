@@ -10,80 +10,76 @@
     Not bounded: a thread stalled {e inside} an operation freezes its odd
     counter and blocks every parked buffer behind it. *)
 
-module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  module P = Nbr_pool.Pool.Make (Rt)
-  module L = Lifecycle.Make (Rt)
+module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  module Int_vec = Nbr_sync.Int_vec
 
-  type aint = Rt.aint
-  type pool = P.t
+  type parked = { snap : int array; recs : Int_vec.t }
 
-  type parked = { snap : int array; recs : Nbr_sync.Int_vec.t }
+  type shared = { qs : Rt.aint array }
 
-  type t = {
-    pool : P.t;
-    n : int;
-    cfg : Smr_config.t;
-    qs : Rt.aint array;
-    lc : L.t;
-    done_stats : Smr_stats.t;
-    mutable ctxs : ctx option array;
-    mutable offload : Smr_intf.Offload.t option;
-  }
-
-  and ctx = {
-    b : t;
-    tid : int;
-    mutable current : Nbr_sync.Int_vec.t;
+  type local = {
+    mutable current : Int_vec.t;
     mutable parked : parked list;
-    st : Smr_stats.t;
   }
+
+  (* Padded per-thread quiescence counters: bumped by their owner on
+     every operation, scanned by every reclaimer. *)
+  let init ~capacity:_ ~nthreads _ =
+    { qs = Array.init nthreads (fun _ -> Rt.make_padded 0) }
+
+  let init_local _ ~nthreads:_ _ = { current = Int_vec.create (); parked = [] }
+
+  let buffered l =
+    Int_vec.length l.current
+    + List.fold_left (fun acc p -> acc + Int_vec.length p.recs) 0 l.parked
+
+  (* The current (unparked) buffer only — parked buffers already have
+     their snapshots and are one [try_collect] from freedom, so shipping
+     them to the reclaimer would restart their grace periods. *)
+  let drain_current l f =
+    Int_vec.iter f l.current;
+    l.current <- Int_vec.create ()
+
+  let drain l f =
+    Int_vec.iter f l.current;
+    List.iter (fun p -> Int_vec.iter f p.recs) l.parked;
+    l.current <- Int_vec.create ();
+    l.parked <- []
+
+  (* Adopted records join our current (unparked) buffer: they get a
+     fresh snapshot when it parks, which only delays their release. *)
+  let adopt _ l slot = Int_vec.push l.current slot
+
+  (* Leave the counter even: a departed thread is forever quiescent and
+     must never block a peer's grace period. *)
+  let recovery =
+    Scheme_kernel.Quiesce
+      (fun s _ tid ->
+        if Rt.load s.qs.(tid) land 1 = 1 then ignore (Rt.faa s.qs.(tid) 1))
+end
+
+module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  module K = Scheme_kernel.Make (Rt) (Policy (Rt))
+  include K
+  open Policy (Rt)
 
   let scheme_name = "qsbr"
   let bounded_garbage = false
 
-  let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
-    {
-      pool;
-      n = nthreads;
-      cfg;
-      (* Padded per-thread quiescence counters: bumped by their owner on
-         every operation, scanned by every reclaimer. *)
-      qs = Array.init nthreads (fun _ -> Rt.make_padded 0);
-      lc = L.create ~nthreads;
-      done_stats = Smr_stats.zero ();
-      ctxs = Array.make nthreads None;
-      offload = None;
-    }
-
-  let set_offload b o = b.offload <- o
-
-  let register b ~tid =
-    L.reset_slot b.lc tid;
-    let c =
-      {
-        b;
-        tid;
-        current = Nbr_sync.Int_vec.create ();
-        parked = [];
-        st = Smr_stats.zero ();
-      }
-    in
-    b.ctxs.(tid) <- Some c;
-    c
-
   let begin_op c =
-    L.check_self c.b.lc c.tid;
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Begin_op 0
-        0;
-    ignore (Rt.faa c.b.qs.(c.tid) 1) (* odd: active *)
+    enter_op c;
+    ignore (Rt.faa c.b.s.qs.(c.tid) 1) (* odd: active *)
+
+  let end_op c =
+    trace_end_op c;
+    ignore (Rt.faa c.b.s.qs.(c.tid) 1) (* even: quiescent *);
+    adopt_pending c
 
   let grace_elapsed c (p : parked) =
     let ok = ref true in
     for t = 0 to c.b.n - 1 do
       if !ok && t <> c.tid then begin
-        let v = Rt.load c.b.qs.(t) in
+        let v = Rt.load c.b.s.qs.(t) in
         (* Safe if currently quiescent, or advanced since the snapshot. *)
         if v land 1 = 1 && v = p.snap.(t) then ok := false
       end
@@ -91,197 +87,44 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     !ok
 
   let try_collect c =
-    let ready, waiting = List.partition (grace_elapsed c) c.parked in
+    let ready, waiting = List.partition (grace_elapsed c) c.l.parked in
     List.iter
       (fun p ->
-        Nbr_sync.Int_vec.iter (fun slot -> P.free c.b.pool slot) p.recs;
-        Smr_stats.add_freed c.st (Nbr_sync.Int_vec.length p.recs);
+        Int_vec.iter (fun slot -> P.free c.b.pool slot) p.recs;
+        Smr_stats.add_freed c.st (Int_vec.length p.recs);
         Smr_stats.add_reclaim_events c.st 1;
         if !Nbr_obs.Trace.on then
           Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-            Nbr_obs.Trace.Reclaim
-            (Nbr_sync.Int_vec.length p.recs)
-            0)
+            Nbr_obs.Trace.Reclaim (Int_vec.length p.recs) 0)
       ready;
-    c.parked <- waiting
+    c.l.parked <- waiting
+
+  let park c =
+    let snap = Array.init c.b.n (fun t -> Rt.load c.b.s.qs.(t)) in
+    c.l.parked <- { snap; recs = c.l.current } :: c.l.parked;
+    c.l.current <- Int_vec.create ()
 
   (* Pool-pressure flush: park the current buffer regardless of the
      threshold and collect everything whose grace period has elapsed.  A
      peer stalled inside an operation still blocks every buffer parked
      behind its frozen counter — QSBR's structural degradation. *)
   let on_pressure c =
-    if Nbr_sync.Int_vec.length c.current > 0 then begin
-      let snap = Array.init c.b.n (fun t -> Rt.load c.b.qs.(t)) in
-      c.parked <- { snap; recs = c.current } :: c.parked;
-      c.current <- Nbr_sync.Int_vec.create ()
-    end;
+    if Int_vec.length c.l.current > 0 then park c;
     try_collect c
 
-  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
-
-  let buffered c =
-    Nbr_sync.Int_vec.length c.current
-    + List.fold_left
-        (fun acc p -> acc + Nbr_sync.Int_vec.length p.recs)
-        0 c.parked
-
-  (* Orphans join our current (unparked) buffer: they get a fresh
-     snapshot when it parks, which only delays their release. *)
-  let adopt_orphans c =
-    let n =
-      L.adopt c.b.lc ~tid:c.tid ~push:(fun slot ->
-          Nbr_sync.Int_vec.push c.current slot)
-    in
-    if n > 0 then Smr_stats.note_garbage c.st (buffered c)
-
-  (* Limbo-bag externalization (DESIGN.md §12).  The collector re-buffers
-     handed-off records in its own current buffer, which parks under a
-     fresh counter snapshot — release is only ever delayed, the
-     orphan-adoption argument above. *)
-
-  let limbo_size c = buffered c
-
-  (* Retire-path export: the current (unparked) buffer only — parked
-     buffers already have their snapshots and are one [try_collect] from
-     freedom, so shipping them would restart their grace periods. *)
-  let export_current c =
-    let slots = ref [] in
-    Nbr_sync.Int_vec.iter (fun s -> slots := s :: !slots) c.current;
-    c.current <- Nbr_sync.Int_vec.create ();
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
-
-  let hand_off c =
-    let slots = ref [] in
-    Nbr_sync.Int_vec.iter (fun s -> slots := s :: !slots) c.current;
-    List.iter
-      (fun p -> Nbr_sync.Int_vec.iter (fun s -> slots := s :: !slots) p.recs)
-      c.parked;
-    c.current <- Nbr_sync.Int_vec.create ();
-    c.parked <- [];
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
-
-  let maybe_offload c =
-    match c.b.offload with
-    | None -> false
-    | Some o ->
-        let count = Nbr_sync.Int_vec.length c.current in
-        count > 0
-        && Smr_intf.Offload.try_accept o ~tid:c.tid ~ns:(Rt.now_ns ()) ~count
-        &&
-        (ignore (export_current c);
-         true)
-
-  let collect_handoffs c =
-    let n =
-      L.take_handoffs c.b.lc ~push:(fun slot ->
-          Nbr_sync.Int_vec.push c.current slot)
-    in
-    if n > 0 then begin
-      Smr_stats.note_garbage c.st (buffered c);
-      match c.b.offload with
-      | Some o ->
-          Smr_intf.Offload.note_collected o ~tid:c.tid ~ns:(Rt.now_ns ())
-            ~count:n
-      | None ->
-          if !Nbr_obs.Trace.on then
-            Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-              Nbr_obs.Trace.Handoff_collect n 0
-    end;
-    n
-
-  let end_op c =
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.End_op 0 0;
-    ignore (Rt.faa c.b.qs.(c.tid) 1) (* even: quiescent *);
-    if L.has_orphans c.b.lc && L.is_active c.b.lc c.tid then adopt_orphans c
-
-  let deregister c =
-    if L.depart c.b.lc c.tid then begin
-      (* Hand the departing thread's magazine caches back to the depot:
-         an abandoned magazine would strand up to a magazine's worth of
-         free slots per size class.  Safe here: we won the depart CAS, so
-         no watchdog owns this tid's state. *)
-      P.flush_thread c.b.pool ~tid:c.tid;
-      (* Leave the counter even: a departed thread is forever quiescent
-         and must never block a peer's grace period. *)
-      if Rt.load c.b.qs.(c.tid) land 1 = 1 then
-        ignore (Rt.faa c.b.qs.(c.tid) 1);
-      let slots = ref [] in
-      Nbr_sync.Int_vec.iter (fun s -> slots := s :: !slots) c.current;
-      List.iter
-        (fun p -> Nbr_sync.Int_vec.iter (fun s -> slots := s :: !slots) p.recs)
-        c.parked;
-      c.current <- Nbr_sync.Int_vec.create ();
-      c.parked <- [];
-      L.push_parcel c.b.lc ~origin:c.tid !slots;
-      L.with_stats_lock c.b.lc (fun () -> Smr_stats.add c.b.done_stats c.st);
-      c.b.ctxs.(c.tid) <- None
-    end
+  let alloc ?cls c =
+    P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
   let retire c slot =
-    P.note_retired c.b.pool slot;
-    Smr_stats.add_retires c.st 1;
-    Nbr_sync.Int_vec.push c.current slot;
+    note_retired c slot;
+    Int_vec.push c.l.current slot;
+    let count = Int_vec.length c.l.current in
     if
-      Nbr_sync.Int_vec.length c.current >= c.b.cfg.Smr_config.bag_threshold
-      && not (maybe_offload c)
+      count >= c.b.cfg.Smr_config.bag_threshold
+      && not (offload c ~count drain_current)
     then begin
-      let snap = Array.init c.b.n (fun t -> Rt.load c.b.qs.(t)) in
-      c.parked <- { snap; recs = c.current } :: c.parked;
-      c.current <- Nbr_sync.Int_vec.create ();
+      park c;
       try_collect c
     end;
-    let g = buffered c in
-    Smr_stats.note_garbage c.st g
-
-  (* No neutralization, no restarts: UAF reads commit at phase end. *)
-  let phase c ~read ~write =
-    let payload, _recs = read () in
-    Smr_stats.uaf_commit c.st;
-    write payload
-
-  let read_only c f =
-    let r = f () in
-    Smr_stats.uaf_commit c.st;
-    r
-
-  let read_root c root =
-    let v = Rt.load root in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_ptr c ~src ~field =
-    let v = Rt.load (P.ptr_cell c.b.pool src field) in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_raw _c cell = Rt.load cell
-
-  (* Grace periods mean a record reachable inside an operation cannot be
-     freed, so [Stale] is unreachable for correct use; if it does show up
-     (a misuse the sanitizer's [stale_handle] rule convicts), consume the
-     memory as the unprotected read it is. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let ctx_stats (c : ctx) = c.st
-
-  let stats b =
-    let acc = Smr_stats.zero () in
-    L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
-    Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
-    acc
+    note_buffered c
 end

@@ -9,230 +9,88 @@
     Not bounded: a reader stalled inside an operation pins the minimum
     epoch. *)
 
-module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  module P = Nbr_pool.Pool.Make (Rt)
-  module L = Lifecycle.Make (Rt)
-
-  type aint = Rt.aint
-  type pool = P.t
-
+module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let idle = max_int
 
-  type t = {
-    pool : P.t;
-    n : int;
-    cfg : Smr_config.t;
+  type shared = {
     epoch : Rt.aint;
     ann : Rt.aint array;
     retire_ep : int array;  (** per-slot retire epoch (thread-owned writes) *)
-    lc : L.t;
-    done_stats : Smr_stats.t;
-    mutable ctxs : ctx option array;
-    mutable offload : Smr_intf.Offload.t option;
   }
 
-  and ctx = { b : t; tid : int; bag : Limbo_bag.t; st : Smr_stats.t }
+  type local = { bag : Limbo_bag.t }
 
-  let scheme_name = "rcu"
-  let bounded_garbage = false
-
-  let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
+  let init ~capacity ~nthreads _ =
     {
-      pool;
-      n = nthreads;
-      cfg;
       (* Padded: the global epoch is bumped by every reclaimer while every
          reader loads it, and the per-thread announcements are SWMR cells
          scanned by all reclaimers — classic false-sharing hot spots. *)
       epoch = Rt.make_padded 1;
       ann = Array.init nthreads (fun _ -> Rt.make_padded idle);
-      retire_ep = Array.make (P.capacity pool) 0;
-      lc = L.create ~nthreads;
-      done_stats = Smr_stats.zero ();
-      ctxs = Array.make nthreads None;
-      offload = None;
+      retire_ep = Array.make capacity 0;
     }
 
-  let set_offload b o = b.offload <- o
+  let init_local _ ~nthreads:_ _ = { bag = Limbo_bag.create () }
+  let buffered l = Limbo_bag.size l.bag
+  let drain l f = ignore (Limbo_bag.drain l.bag f)
 
-  let register b ~tid =
-    L.reset_slot b.lc tid;
-    let c = { b; tid; bag = Limbo_bag.create (); st = Smr_stats.zero () } in
-    b.ctxs.(tid) <- Some c;
-    c
+  (* Retire epochs live in the shared [retire_ep] array, so adopted and
+     handed-off slots carry everything the sweep predicate needs. *)
+  let adopt _ l slot = Limbo_bag.push l.bag slot
+
+  (* Withdraw the announcement: a departed reader must not pin the
+     minimum epoch. *)
+  let recovery =
+    Scheme_kernel.Quiesce (fun s _ tid -> Rt.store s.ann.(tid) idle)
+end
+
+module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  module K = Scheme_kernel.Make (Rt) (Policy (Rt))
+  include K
+  open Policy (Rt)
+
+  let scheme_name = "rcu"
+  let bounded_garbage = false
 
   let begin_op c =
-    L.check_self c.b.lc c.tid;
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Begin_op 0
-        0;
-    Rt.store c.b.ann.(c.tid) (Rt.load c.b.epoch)
-
-  (* Orphan retire epochs live in the t-level [retire_ep] array, so the
-     slots alone carry everything the sweep predicate needs. *)
-  let adopt_orphans c =
-    let n =
-      L.adopt c.b.lc ~tid:c.tid ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then Smr_stats.note_garbage c.st (Limbo_bag.size c.bag)
-
-  (* Limbo-bag externalization (DESIGN.md §12).  Retire epochs live in the
-     t-level [retire_ep] array, so handed-off slots carry everything the
-     collector's sweep predicate needs — the orphan-parcel argument. *)
-
-  let limbo_size c = Limbo_bag.size c.bag
-
-  let export_bag c =
-    let slots = ref [] in
-    ignore
-      (Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-         ~keep:(fun _ -> false)
-         ~free:(fun s -> slots := s :: !slots));
-    L.push_handoff c.b.lc ~origin:c.tid !slots;
-    List.length !slots
-
-  let hand_off c = export_bag c
-
-  let maybe_offload c =
-    match c.b.offload with
-    | None -> false
-    | Some o ->
-        let count = Limbo_bag.size c.bag in
-        count > 0
-        && Smr_intf.Offload.try_accept o ~tid:c.tid ~ns:(Rt.now_ns ()) ~count
-        &&
-        (ignore (export_bag c);
-         true)
-
-  let collect_handoffs c =
-    let n =
-      L.take_handoffs c.b.lc ~push:(fun slot -> Limbo_bag.push c.bag slot)
-    in
-    if n > 0 then begin
-      Smr_stats.note_garbage c.st (Limbo_bag.size c.bag);
-      match c.b.offload with
-      | Some o ->
-          Smr_intf.Offload.note_collected o ~tid:c.tid ~ns:(Rt.now_ns ())
-            ~count:n
-      | None ->
-          if !Nbr_obs.Trace.on then
-            Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-              Nbr_obs.Trace.Handoff_collect n 0
-    end;
-    n
+    enter_op c;
+    Rt.store c.b.s.ann.(c.tid) (Rt.load c.b.s.epoch)
 
   let end_op c =
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.End_op 0 0;
-    Rt.store c.b.ann.(c.tid) idle;
-    if L.has_orphans c.b.lc && L.is_active c.b.lc c.tid then adopt_orphans c
-
-  let deregister c =
-    if L.depart c.b.lc c.tid then begin
-      (* Hand the departing thread's magazine caches back to the depot:
-         an abandoned magazine would strand up to a magazine's worth of
-         free slots per size class.  Safe here: we won the depart CAS, so
-         no watchdog owns this tid's state. *)
-      P.flush_thread c.b.pool ~tid:c.tid;
-      (* Withdraw the announcement: a departed reader must not pin the
-         minimum epoch. *)
-      Rt.store c.b.ann.(c.tid) idle;
-      let slots = ref [] in
-      ignore
-        (Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-           ~keep:(fun _ -> false)
-           ~free:(fun s -> slots := s :: !slots));
-      L.push_parcel c.b.lc ~origin:c.tid !slots;
-      L.with_stats_lock c.b.lc (fun () -> Smr_stats.add c.b.done_stats c.st);
-      c.b.ctxs.(c.tid) <- None
-    end
+    trace_end_op c;
+    Rt.store c.b.s.ann.(c.tid) idle;
+    adopt_pending c
 
   (* Bump the epoch and free everything retired strictly before the
      minimum announced epoch — the threshold-crossing body of [retire],
      also run threshold-free under pool pressure.  Our own announcement
      participates in the minimum, so records retired during the current
      operation stay pinned (conservative and safe mid-operation). *)
-  let flush c =
-    if Limbo_bag.size c.bag > 0 then begin
-      ignore (Rt.faa c.b.epoch 1);
+  let on_pressure c =
+    if Limbo_bag.size c.l.bag > 0 then begin
+      ignore (Rt.faa c.b.s.epoch 1);
       let min_ann = ref max_int in
       for t = 0 to c.b.n - 1 do
-        let a = Rt.load c.b.ann.(t) in
+        let a = Rt.load c.b.s.ann.(t) in
         if a < !min_ann then min_ann := a
       done;
       let freed =
-        Limbo_bag.sweep c.bag ~upto:(Limbo_bag.abs_tail c.bag)
-          ~keep:(fun s -> c.b.retire_ep.(P.uid c.b.pool s) >= !min_ann)
+        Limbo_bag.sweep c.l.bag ~upto:(Limbo_bag.abs_tail c.l.bag)
+          ~keep:(fun s -> c.b.s.retire_ep.(P.uid c.b.pool s) >= !min_ann)
           ~free:(fun s -> P.free c.b.pool s)
       in
       Smr_stats.add_freed c.st freed;
       Smr_stats.add_reclaim_events c.st 1;
       if !Nbr_obs.Trace.on then
         Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Reclaim freed
-          (Limbo_bag.size c.bag)
+          Nbr_obs.Trace.Reclaim freed (Limbo_bag.size c.l.bag)
     end
 
-  let on_pressure = flush
-  let alloc ?cls c = P.alloc ~on_pressure:(fun () -> flush c) ?cls c.b.pool
+  let alloc ?cls c =
+    P.alloc ~on_pressure:(fun () -> on_pressure c) ?cls c.b.pool
 
   let retire c slot =
-    P.note_retired c.b.pool slot;
-    Smr_stats.add_retires c.st 1;
-    c.b.retire_ep.(P.uid c.b.pool slot) <- Rt.load c.b.epoch;
-    Limbo_bag.push c.bag slot;
-    if Limbo_bag.size c.bag >= c.b.cfg.Smr_config.bag_threshold then
-      if not (maybe_offload c) then flush c;
-    let g = Limbo_bag.size c.bag in
-    Smr_stats.note_garbage c.st g
-
-  (* No neutralization, no restarts: UAF reads commit at phase end. *)
-  let phase c ~read ~write =
-    let payload, _recs = read () in
-    Smr_stats.uaf_commit c.st;
-    write payload
-
-  let read_only c f =
-    let r = f () in
-    Smr_stats.uaf_commit c.st;
-    r
-
-  let read_root c root =
-    let v = Rt.load root in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_ptr c ~src ~field =
-    let v = Rt.load (P.ptr_cell c.b.pool src field) in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_raw _c cell = Rt.load cell
-
-  (* Grace periods mean a record reachable inside an operation cannot be
-     freed, so [Stale] is unreachable for correct use; if it does show up
-     (a misuse the sanitizer's [stale_handle] rule convicts), consume the
-     memory as the unprotected read it is. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let ctx_stats (c : ctx) = c.st
-
-  let stats b =
-    let acc = Smr_stats.zero () in
-    L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
-    Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
-    acc
+    note_retired c slot;
+    c.b.s.retire_ep.(P.uid c.b.pool slot) <- Rt.load c.b.s.epoch;
+    buffer_retired c slot ~sweep:on_pressure
 end

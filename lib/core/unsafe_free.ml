@@ -9,77 +9,17 @@
     slots may not terminate. *)
 
 module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
-  module P = Nbr_pool.Pool.Make (Rt)
-  module L = Lifecycle.Make (Rt)
-
-  type aint = Rt.aint
-  type pool = P.t
-
-  type t = {
-    pool : P.t;
-    lc : L.t;
-    done_stats : Smr_stats.t;
-    mutable ctxs : ctx option array;
-  }
-
-  and ctx = { b : t; tid : int; st : Smr_stats.t }
+  include Scheme_kernel.Make (Rt) (Scheme_kernel.Stateless)
 
   let scheme_name = "unsafe-free"
   let bounded_garbage = true (* trivially: nothing is ever buffered *)
-
-  let create pool ~nthreads cfg =
-    P.set_generation_check pool (not cfg.Smr_config.unsafe_no_generation_check);
-    {
-      pool;
-      lc = L.create ~nthreads;
-      done_stats = Smr_stats.zero ();
-      ctxs = Array.make nthreads None;
-    }
-
-  let register b ~tid =
-    L.reset_slot b.lc tid;
-    let c = { b; tid; st = Smr_stats.zero () } in
-    b.ctxs.(tid) <- Some c;
-    c
-
-  let begin_op c =
-    L.check_self c.b.lc c.tid;
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.Begin_op 0
-        0
-
-  let end_op c =
-    if !Nbr_obs.Trace.fine then
-      Nbr_obs.Trace.emit ~tid:c.tid ~ns:(Rt.now_ns ()) Nbr_obs.Trace.End_op 0 0
-
-  (* Records are freed at retire, so nothing is ever buffered and no
-     parcels are ever pushed. *)
-  let adopt_orphans _ = ()
-
-  (* Nothing is ever buffered, so externalization is vacuous. *)
-  let set_offload _ _ = ()
-  let limbo_size _ = 0
-  let hand_off _ = 0
-  let collect_handoffs _ = 0
-
-  let deregister c =
-    if L.depart c.b.lc c.tid then begin
-      (* Hand the departing thread's magazine caches back to the depot:
-         an abandoned magazine would strand up to a magazine's worth of
-         free slots per size class.  Safe here: we won the depart CAS, so
-         no watchdog owns this tid's state. *)
-      P.flush_thread c.b.pool ~tid:c.tid;
-      L.with_stats_lock c.b.lc (fun () -> Smr_stats.add c.b.done_stats c.st);
-      c.b.ctxs.(c.tid) <- None
-    end
 
   (* Nothing is ever buffered; [max_garbage] stays 0. *)
   let on_pressure _ = ()
   let alloc ?cls c = P.alloc ?cls c.b.pool
 
   let retire c slot =
-    P.note_retired c.b.pool slot;
-    Smr_stats.add_retires c.st 1;
+    note_retired c slot;
     (* Racing retires of one record are among the bugs this foil exists
        to exhibit: the second free arrives through a now-stale handle and
        the generation check rejects it — record the detection and keep
@@ -87,53 +27,4 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     match P.free c.b.pool slot with
     | () -> Smr_stats.add_freed c.st 1
     | exception Invalid_argument _ -> Smr_stats.note_uaf c.st
-
-  (* No protection and no restarts: every UAF read is committed — the
-     behaviour the detectors (and the sanitizer's negative tests) exist
-     to flag. *)
-  let phase c ~read ~write =
-    let payload, _recs = read () in
-    Smr_stats.uaf_commit c.st;
-    write payload
-
-  let read_only c f =
-    let r = f () in
-    Smr_stats.uaf_commit c.st;
-    r
-
-  let read_root c root =
-    let v = Rt.load root in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_ptr c ~src ~field =
-    let v = Rt.load (P.ptr_cell c.b.pool src field) in
-    if v >= 0 && P.record_read c.b.pool v then Smr_stats.note_uaf c.st;
-    v
-
-  let read_raw _c cell = Rt.load cell
-
-  (* A [Stale] result is the whole point of this foil: consume the
-     recycled memory and let the detectors count the committed UAF. *)
-  let read_data c ~src ~field =
-    match P.read_data c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let peek_ptr c ~src ~field =
-    match P.read_ptr c.b.pool src field with
-    | P.Value v -> v
-    | P.Stale v ->
-        if P.record_read c.b.pool src then Smr_stats.note_uaf c.st;
-        v
-
-  let ctx_stats (c : ctx) = c.st
-
-  let stats b =
-    let acc = Smr_stats.zero () in
-    L.with_stats_lock b.lc (fun () -> Smr_stats.add acc b.done_stats);
-    Array.iter (function None -> () | Some c -> Smr_stats.add acc c.st) b.ctxs;
-    acc
 end

@@ -76,6 +76,7 @@ let pp_exhausted ppf x =
     wraparound every epoch/era scheme lives with.  [nil] (-1) is not a
     packable handle and never collides with one. *)
 module Handle = struct
+  let nil = -1
   let index_bits = 24
   let class_bits = 4
   let gen_shift = index_bits + class_bits
@@ -104,7 +105,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   exception Exhausted = Exhausted
 
-  let nil = -1
+  let nil = Handle.nil
 
   type state = Free | Live | Retired
 

@@ -48,6 +48,10 @@ val pp_exhausted : Format.formatter -> exhausted_info -> unit
     Handles are opaque to well-behaved clients; the codec is exposed for
     tests and for the Harris list's tagged-word encoding. *)
 module Handle : sig
+  val nil : int
+  (** The null handle (-1), also [Make(Rt).nil]: never a packable
+      handle. *)
+
   val index_bits : int
   val class_bits : int
   val gen_shift : int

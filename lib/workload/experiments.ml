@@ -257,13 +257,6 @@ let fig4d quick =
 (* E2-chaos: bounded-garbage invariant under a seeded fault schedule    *)
 (* (stalls + a crash + delayed signals — the adversity §7 argues about).*)
 
-(* Which schemes claim P2 (bounded garbage).  Mirrors each scheme's
-   [bounded_garbage] flag; the harness is string-keyed so the flag is
-   restated here. *)
-let claims_bounded = function
-  | "nbr" | "nbr+" | "ibr" | "hp" | "he" -> true
-  | _ -> false
-
 let chaos quick =
   let p = if quick then quick_profile else std_profile in
   let nthreads = 8 in
@@ -329,7 +322,7 @@ let chaos quick =
           let bound = Trial.garbage_bound cfg in
           let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
           let verdict =
-            if claims_bounded scheme then
+            if Registry.bounded_garbage scheme then
               if mg <= bound then "bounded (P2 holds)"
               else begin
                 (* A bounded scheme exceeding the bound is a real failure
@@ -381,7 +374,7 @@ let churn_trial ~scheme ~structure ~nthreads ~duration ~key_range ~seed
   end;
   let bound = Trial.garbage_bound cfg in
   let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
-  if claims_bounded scheme && mg > bound then begin
+  if Registry.bounded_garbage scheme && mg > bound then begin
     incr failures;
     Format.printf "VALIDATION FAILURE: %s/%s churn max_garbage %d > bound %d@."
       scheme structure mg bound
@@ -434,7 +427,7 @@ let churn quick =
               scheme
           end;
           let verdict =
-            if claims_bounded scheme then
+            if Registry.bounded_garbage scheme then
               if mg <= bound then "bounded (P2 holds)" else "BOUND VIOLATION"
             else "no P2 claim"
           in
@@ -483,7 +476,7 @@ let churn quick =
               scheme worst_round wd_rounds
           end;
           let verdict =
-            if claims_bounded scheme then
+            if Registry.bounded_garbage scheme then
               if mg <= bound then "bounded (P2 holds)" else "BOUND VIOLATION"
             else if mg > bound then "grew past bound (expected: no P2)"
             else "under bound (no P2 claim)"
@@ -680,12 +673,12 @@ let reclaim quick =
           in
           Sim.set_config { base_sim_config with seed };
           let pool_capacity =
-            (* Bounded-garbage claimants (and the free-on-retire foil)
-               get a pool tight enough that the hogs are felt.  Epoch
-               schemes keep the roomy default: a crashed worker pins
-               their epoch and their garbage is unbounded by design —
-               the paper's point, not a robustness failure to induce. *)
-            if claims_bounded scheme || scheme = "unsafe-free" then Some 4096
+            (* Bounded-garbage claimants get a pool tight enough that
+               the hogs are felt.  Epoch schemes keep the roomy default:
+               a crashed worker pins their epoch and their garbage is
+               unbounded by design — the paper's point, not a robustness
+               failure to induce. *)
+            if Registry.bounded_garbage scheme then Some 4096
             else None
           in
           let cfg =
@@ -738,7 +731,7 @@ let reclaim quick =
               let bound = Trial.garbage_bound cfg in
               let mg = Nbr_core.Smr_stats.max_garbage r.Trial.smr_stats in
               let verdict =
-                if claims_bounded scheme then
+                if Registry.bounded_garbage scheme then
                   if mg <= bound then "bounded (P2 holds)"
                   else begin
                     incr failures;

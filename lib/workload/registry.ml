@@ -66,6 +66,12 @@ let find_exn name =
   | Some e -> e
   | None -> invalid_arg ("Registry: unknown scheme " ^ name)
 
+(* The scheme functor's own P2 claim, read off an instance. *)
+let bounded_garbage name =
+  let module S = (val (find_exn name).r_scheme) in
+  let module Smr = S.Make (Nbr_runtime.Sim_rt) in
+  Smr.bounded_garbage
+
 let structure_names =
   [ "lazy-list"; "dgt-tree"; "harris-list"; "ab-tree"; "hash-set"; "skip-list" ]
 

@@ -30,6 +30,11 @@ val all_scheme_names : string list
 val find : string -> entry option
 val find_exn : string -> entry
 
+val bounded_garbage : string -> bool
+(** The named scheme's [bounded_garbage] flag (whether it claims the
+    paper's P2), read from its functor.  Raises [Invalid_argument] on an
+    unknown name. *)
+
 val structure_names : string list
 (** The six set implementations, in canonical display order. *)
 

@@ -85,6 +85,20 @@ let test_scheme_ibr =
            validating slot liveness";
       ]
 
+(* A scheme whose checked verbs the summaries cannot resolve (here: they
+   come from a module outside the analyzed set) must be flagged, not
+   pass its family check. *)
+let test_scheme_unresolved () =
+  let r = analyze [ "scheme_unresolved_violation.ml" ] in
+  Alcotest.(check (list string))
+    "unresolved verbs flagged"
+    [
+      exp "scheme_unresolved_violation.ml" 7
+        "[unguarded-deref] scheme nbr: phase, read_only, read_ptr not \
+         resolvable";
+    ]
+    (strings_of r)
+
 let test_idiom () =
   let r = analyze [ "idiom_violation.ml" ] in
   Alcotest.(check (list string))
@@ -238,6 +252,8 @@ let suite =
     Alcotest.test_case "R3 phase bracket" `Quick test_r3;
     Alcotest.test_case "R4 write-phase read" `Quick test_r4;
     Alcotest.test_case "R2 scheme closure (PR 4 IBR bug)" `Quick test_scheme_ibr;
+    Alcotest.test_case "R2 unresolved scheme verbs" `Quick
+      test_scheme_unresolved;
     Alcotest.test_case "idiom rules on the shared engine" `Quick test_idiom;
     Alcotest.test_case "in-source waiver" `Quick test_waiver;
     Alcotest.test_case "path normalization" `Quick test_normalize_path;

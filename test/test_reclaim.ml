@@ -224,6 +224,76 @@ let policy_case policy name =
       if count_kind Tr.Async_sweep evs = 0 then
         Alcotest.failf "policy %s: reclaimer never swept" name)
 
+(* ---------------- handoff round trip, every scheme ---------------- *)
+
+(* [hand_off] on context A exports exactly A's limbo, and
+   [collect_handoffs] on context B re-buffers exactly that many records:
+   A's limbo empties, B's grows by the same count, and once B has swept
+   nothing is lost or freed twice — the pool's in-use count matches the
+   scheme's freed count and no UAF is recorded.  Foils buffer nothing,
+   so both counts are 0. *)
+module P = Nbr_pool.Pool.Make (Sim)
+
+let test_handoff_round_trip () =
+  List.iter
+    (fun (e : Nbr_workload.Registry.entry) ->
+      let name = e.Nbr_workload.Registry.r_name in
+      let module Scheme = (val e.Nbr_workload.Registry.r_scheme) in
+      let module S = Scheme.Make (Sim) in
+      Sim.set_config
+        { Sim.default_config with cores = 4; granularity = 1; seed = 5 };
+      let retired = 20 in
+      let pool =
+        P.create ~capacity:256 ~data_fields:1 ~ptr_fields:1 ~nthreads:2 ()
+      in
+      let smr =
+        S.create pool ~nthreads:2
+          (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 1000)
+      in
+      let a = S.register smr ~tid:0 and b = S.register smr ~tid:1 in
+      let handed = ref (-1) and collected = ref (-1) in
+      let a_before = ref 0 and a_after = ref 0 in
+      let b_before = ref 0 and b_after = ref 0 in
+      Sim.run ~nthreads:2 (fun tid ->
+          if tid = 0 then begin
+            S.begin_op a;
+            for _ = 1 to retired do
+              S.retire a (S.alloc a)
+            done;
+            S.end_op a;
+            a_before := S.limbo_size a;
+            handed := S.hand_off a;
+            a_after := S.limbo_size a
+          end
+          else begin
+            while !handed < 0 do
+              Sim.stall_ns 200
+            done;
+            b_before := S.limbo_size b;
+            collected := S.collect_handoffs b;
+            b_after := S.limbo_size b;
+            (* Epoch schemes need a few clean operations before their
+               grace periods elapse. *)
+            for _ = 1 to 6 do
+              S.begin_op b;
+              S.end_op b;
+              S.on_pressure b
+            done
+          end);
+      let expect = if buffers name then retired else 0 in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      check "hand_off exports A's limbo" expect !handed;
+      check "A's limbo before" !a_before !handed;
+      check "A's limbo drops to 0" 0 !a_after;
+      check "collect_handoffs takes what A handed" !handed !collected;
+      check "B's limbo grows by the count" !collected (!b_after - !b_before);
+      let freed = Nbr_core.Smr_stats.freed (S.stats smr) in
+      if buffers name then check "B frees every handed record" retired freed;
+      check "pool in use = retired - freed" (retired - freed)
+        (P.stats pool).P.s_in_use;
+      check "no UAF" 0 (P.stats pool).P.s_uaf_reads)
+    Nbr_workload.Registry.all
+
 (* ---------------- QCheck: P2 under every reclaimer fate ---------------- *)
 
 (* The paper's bounded-garbage property must be indifferent to the
@@ -273,4 +343,6 @@ let suite =
       policy_case (R.Periodic { interval_ns = 20_000 }) "periodic";
       policy_case (R.After_n_retires { n = 64 }) "after-n-retires";
       QCheck_alcotest.to_alcotest prop_bound_under_reclaimer_fates;
+      Alcotest.test_case "handoff round trip, every scheme" `Quick
+        test_handoff_round_trip;
     ]
