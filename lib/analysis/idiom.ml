@@ -8,7 +8,10 @@
    - [domain-dls]     [Domain.DLS] is a runtime-layer concern.
    - [obj-magic]      no [Obj.magic] anywhere in lib/.
    - [pool-raw-index] outside lib/pool, no raw cell addressing
-                      ([data_cell] / [ptr_cell]).
+                      ([data_cell] / [ptr_cell]); outside lib/pool and
+                      lib/runtime, no naming of cell-array elements
+                      ([Rt.cell] / [Rt.make_cells]), which would address
+                      slot memory with no handle to validate at all.
    - [missing-mli]    every library module carries an interface, or is
                       explicitly grandfathered in the allowlist.
    - [parse]          the file must parse. *)
@@ -23,6 +26,15 @@ let in_core_or_ds file =
   || path_has_prefix ~prefix:"lib/ds/" file
 
 let in_runtime file = path_has_prefix ~prefix:"lib/runtime/" file
+let in_pool file = path_has_prefix ~prefix:"lib/pool/" file
+
+(* Only qualified [X.cell] counts: a bare [cell] is a local name. *)
+let raw_cell_access ~file l =
+  match List.rev l with
+  | ("data_cell" | "ptr_cell") :: _ -> not (in_pool file)
+  | ("cell" | "make_cells") :: _ :: _ ->
+      not (in_pool file || in_runtime file)
+  | _ -> false
 
 let check_ident ~file (lid : Longident.t Location.loc) : Findings.t option =
   let loc = lid.Location.loc in
@@ -39,11 +51,7 @@ let check_ident ~file (lid : Longident.t Location.loc) : Findings.t option =
       v "domain-dls"
         "Domain.DLS outside lib/runtime: thread identity is a runtime \
          concern (use the tid-threaded _t interfaces)"
-  | l
-    when (match List.rev l with
-         | ("data_cell" | "ptr_cell") :: _ -> true
-         | _ -> false)
-         && not (path_has_prefix ~prefix:"lib/pool/" file) ->
+  | l when raw_cell_access ~file l ->
       v "pool-raw-index"
         "raw cell addressing bypasses generation validation: go through \
          the scheme's validated accessors (read_data / read_ptr / \

@@ -148,9 +148,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     c_capacity : int;
     c_data_fields : int;
     c_ptr_fields : int;
-    c_data : aint array array;  (** [c_data.(f).(index)] *)
-    c_ptr : aint array array;
-    c_lock : aint array;
+    c_data : Rt.cells array;  (** slot [i] of field [f]: [Rt.cell c_data.(f) i] *)
+    c_ptr : Rt.cells array;
+    c_lock : Rt.cells;
     c_st : int array;  (** 0 = Free, 1 = Live, 2 = Retired *)
     c_gen : int array;  (** current generation; bumped on each free *)
     c_next_fresh : int Atomic.t;  (** bump allocator over never-used slots *)
@@ -227,13 +227,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       c_capacity = cap;
       c_data_fields = spec.cc_data_fields;
       c_ptr_fields = spec.cc_ptr_fields;
-      c_data =
-        Array.init spec.cc_data_fields (fun _ ->
-            Array.init cap (fun _ -> Rt.make 0));
-      c_ptr =
-        Array.init spec.cc_ptr_fields (fun _ ->
-            Array.init cap (fun _ -> Rt.make nil));
-      c_lock = Array.init cap (fun _ -> Rt.make 0);
+      c_data = Array.init spec.cc_data_fields (fun _ -> Rt.make_cells cap 0);
+      c_ptr = Array.init spec.cc_ptr_fields (fun _ -> Rt.make_cells cap nil);
+      c_lock = Rt.make_cells cap 0;
       c_st = Array.make cap 0;
       c_gen = Array.make cap 0;
       c_next_fresh = Atomic.make 0;
@@ -306,23 +302,25 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* ---------------- handle decoding ---------------- *)
 
-  (* [addr] maps {e any} int onto a real (class, index) address: a handle
-     that does not name one — [nil], a truncated mark-tag word, garbage
-     read from recycled memory — collapses onto class 0 / index 0.  This
-     is the never-unmapped-arena semantics of DESIGN.md §3: dereferencing
-     a dangling address reads {e some} arena memory and returns garbage,
-     it never faults.  Only the peek tier (cell accessors, [Stale]
-     payloads) goes through the collapse; validated accessors reject such
-     handles as [Stale] first, which is the whole point of the
-     generational rewrite. *)
-  let addr t h =
-    let c =
-      let ci = Handle.cls h in
-      if h < 0 || ci >= Array.length t.classes then t.classes.(0)
-      else t.classes.(ci)
-    in
+  (* [slot_class] and [slot_index] map {e any} int onto a real (class,
+     index) address: a handle that does not name one — [nil], a truncated
+     mark-tag word, garbage read from recycled memory — collapses onto
+     class 0 / index 0.  This is the never-unmapped-arena semantics of
+     DESIGN.md §3: dereferencing a dangling address reads {e some} arena
+     memory and returns garbage, it never faults.  Only the peek tier
+     (cell accessors, [Stale] payloads) goes through the collapse;
+     validated accessors reject such handles as [Stale] first, which is
+     the whole point of the generational rewrite.  Two functions rather
+     than one returning a pair: the address is computed on every field
+     access, and a pair would be allocated each time. *)
+  let slot_class t h =
+    let ci = Handle.cls h in
+    if h < 0 || ci >= Array.length t.classes then t.classes.(0)
+    else t.classes.(ci)
+
+  let slot_index c h =
     let i = Handle.index h in
-    if i >= c.c_capacity then (c, 0) else (c, i)
+    if i >= c.c_capacity then 0 else i
 
   (** A handle is valid iff it names a class/index that exists and its
       packed generation matches the slot's current one.  Every [free]
@@ -340,15 +338,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       (IBR/HE birth eras, RCU retire epochs) index by this, so they stay
       dense across size-classes and survive generation bumps. *)
   let uid t h =
-    let c, i = addr t h in
-    c.c_base + i
+    let c = slot_class t h in
+    c.c_base + slot_index c h
 
   let note_stale t h =
     Atomic.incr t.uaf_reads;
     if !Nbr_obs.Trace.fine then begin
-      let c, i = addr t h in
+      let c = slot_class t h in
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-        Nbr_obs.Trace.Stale_handle h c.c_gen.(i)
+        Nbr_obs.Trace.Stale_handle h c.c_gen.(slot_index c h)
     end
 
   (* ---------------- occupancy accounting ---------------- *)
@@ -583,7 +581,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let note_retired t h =
     if not (valid t h) then note_stale t h
     else begin
-      let c, i = addr t h in
+      let c = slot_class t h in
+      let i = slot_index c h in
       if c.c_st.(i) <> 2 then begin
         c.c_st.(i) <- 2;
         let g = Atomic.fetch_and_add c.c_garbage 1 + 1 in
@@ -620,7 +619,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if not (valid t h) then
       invalid_arg
         (Printf.sprintf "Pool.free: stale or double free of handle %d" h);
-    let c, i = addr t h in
+    let c = slot_class t h in
+    let i = slot_index c h in
     let ts = c.c_tstats.(Rt.self ()) in
     if c.c_st.(i) = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
     c.c_st.(i) <- 0;
@@ -701,16 +701,16 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     if t.gen_check && not (valid t h) then note_stale t h
 
   let data_cell t h f =
-    let c, i = addr t h in
-    c.c_data.(f).(i)
+    let c = slot_class t h in
+    Rt.cell c.c_data.(f) (slot_index c h)
 
   let ptr_cell t h f =
-    let c, i = addr t h in
-    c.c_ptr.(f).(i)
+    let c = slot_class t h in
+    Rt.cell c.c_ptr.(f) (slot_index c h)
 
   let lock_cell t h =
-    let c, i = addr t h in
-    c.c_lock.(i)
+    let c = slot_class t h in
+    Rt.cell c.c_lock (slot_index c h)
 
   (* A validated read that caught a stale handle: with the check on it
      fails gracefully ([Stale], traced as such but NOT as an [Access] —
@@ -718,65 +718,57 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      A4 ablation the stale value {e commits}, which is a raw access to
      freed memory and is traced as one so the sanitizer's [uaf_access]
      rule can convict it. *)
-  let stale_read t h st v =
+  let stale_read t h v =
     note_stale t h;
     if t.gen_check then Stale v
     else begin
-      if !Nbr_obs.Trace.fine then
+      if !Nbr_obs.Trace.fine then begin
+        let c = slot_class t h in
         Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Access h st;
+          Nbr_obs.Trace.Access h c.c_st.(slot_index c h)
+      end;
       Value v
     end
 
   let read_data t h f =
-    let c, i = addr t h in
-    let v = Rt.plain_load c.c_data.(f).(i) in
-    if valid t h then Value v else stale_read t h c.c_st.(i) v
+    let v = Rt.plain_load (data_cell t h f) in
+    if valid t h then Value v else stale_read t h v
 
   let read_data_sync t h f =
-    let c, i = addr t h in
-    let v = Rt.load c.c_data.(f).(i) in
-    if valid t h then Value v else stale_read t h c.c_st.(i) v
+    let v = Rt.load (data_cell t h f) in
+    if valid t h then Value v else stale_read t h v
 
   let read_ptr t h f =
-    let c, i = addr t h in
-    let v = Rt.load c.c_ptr.(f).(i) in
-    if valid t h then Value v else stale_read t h c.c_st.(i) v
+    let v = Rt.load (ptr_cell t h f) in
+    if valid t h then Value v else stale_read t h v
 
   let get_data t h f =
     check t h;
-    let c, i = addr t h in
-    Rt.plain_load c.c_data.(f).(i)
+    Rt.plain_load (data_cell t h f)
 
   let get_data_sync t h f =
     check t h;
-    let c, i = addr t h in
-    Rt.load c.c_data.(f).(i)
+    Rt.load (data_cell t h f)
 
   let get_ptr t h f =
     check t h;
-    let c, i = addr t h in
-    Rt.load c.c_ptr.(f).(i)
+    Rt.load (ptr_cell t h f)
 
   let set_data t h f v =
     check t h;
-    let c, i = addr t h in
-    Rt.store c.c_data.(f).(i) v
+    Rt.store (data_cell t h f) v
 
   let set_ptr t h f v =
     check t h;
-    let c, i = addr t h in
-    Rt.store c.c_ptr.(f).(i) v
+    Rt.store (ptr_cell t h f) v
 
   let cas_data t h f old v =
     check t h;
-    let c, i = addr t h in
-    Rt.cas c.c_data.(f).(i) old v
+    Rt.cas (data_cell t h f) old v
 
   let cas_ptr t h f old v =
     check t h;
-    let c, i = addr t h in
-    Rt.cas c.c_ptr.(f).(i) old v
+    Rt.cas (ptr_cell t h f) old v
 
   (* ---------------- instrumentation ---------------- *)
 
@@ -786,15 +778,15 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let state t h =
     if not (valid t h) then Free
     else
-      let c, i = addr t h in
-      match c.c_st.(i) with 0 -> Free | 1 -> Live | _ -> Retired
+      let c = slot_class t h in
+      match c.c_st.(slot_index c h) with 0 -> Free | 1 -> Live | _ -> Retired
 
   (** Current generation of the slot a handle names (uncosted).  Equal to
       [Handle.gen h] iff the handle is still valid; bumped by each
       [free], so it is the ABA/UAF witness the tests read. *)
   let seqno t h =
-    let c, i = addr t h in
-    c.c_gen.(i)
+    let c = slot_class t h in
+    c.c_gen.(slot_index c h)
 
   (** Costed lifecycle checks, for protection validation.  Hazard-style
       schemes must verify, after announcing, that the target "has not
@@ -808,15 +800,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     Rt.work 2;
     valid t h
     &&
-    let c, i = addr t h in
-    c.c_st.(i) = 1
+    let c = slot_class t h in
+    c.c_st.(slot_index c h) = 1
 
   (** Current slot generation with an access charge: lets validators
       detect free-and-recycle (ABA on the slot) between two reads. *)
   let stamp t h =
     Rt.work 2;
-    let c, i = addr t h in
-    c.c_gen.(i)
+    seqno t h
 
   (** Called by the SMR layer when a guarded dereference lands on [h];
       counts reads through stale handles (freed, or freed-and-recycled —
@@ -831,9 +822,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let uaf = h >= 0 && not (valid t h) in
     if uaf then Atomic.incr t.uaf_reads;
     if h >= 0 && !Nbr_obs.Trace.fine then begin
-      let c, i = addr t h in
+      let c = slot_class t h in
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-        Nbr_obs.Trace.Access h c.c_st.(i)
+        Nbr_obs.Trace.Access h c.c_st.(slot_index c h)
     end;
     uaf
 

@@ -41,6 +41,14 @@ type aint = int Atomic.t
 
 let make v = Atomic.make v
 let make_padded v = Nbr_sync.Padded.copy_as_padded (Atomic.make v)
+
+(* OCaml 5.1 has no atomic operations on array elements, so a native cell
+   array stays an array of boxed atomics. *)
+type cells = aint array
+
+let make_cells n v = Array.init n (fun _ -> Atomic.make v)
+let cell a i = a.(i)
+
 let load = Atomic.get
 let plain_load = Atomic.get
 let store = Atomic.set

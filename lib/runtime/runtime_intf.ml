@@ -20,8 +20,14 @@
 
     The unit of "shared memory" is the atomic integer cell {!aint}.  All
     shared state in the repository — record fields in the pool, reservation
-    arrays, epochs, locks — is made of [aint]s, which is what lets the
-    simulator interleave and cost every access. *)
+    arrays, epochs, locks — is accessed as [aint]s, which is what lets the
+    simulator interleave and cost every access.  Cells come one at a time
+    ({!S.make}) or as a flat array ({!S.make_cells}, the pool's record
+    fields); an element of an array is named by {!S.cell} and accessed by
+    the same verbs, so the two kinds are interchangeable to every caller.
+    Only the layout differs: the simulator stores a cell array as one
+    unboxed [int array], each cell's value and ownership tag side by
+    side. *)
 
 type signal_fate =
   | Sig_deliver  (** normal delivery (the default when no fault is set) *)
@@ -70,6 +76,19 @@ module type S = sig
       {!Nbr_sync.Padded} on the pinned 5.1 toolchain); in the simulator it
       is identical to {!make}, because the cost model tracks coherence
       ownership per cell, never packing two cells into one line. *)
+
+  type cells
+  (** A fixed-size array of shared cells, laid out for density: the pool
+      keeps one per record field.  Each element behaves exactly like a
+      fresh {!make} cell of the same initial value. *)
+
+  val make_cells : int -> int -> cells
+  (** [make_cells n v]: [n] cells, each holding [v]. *)
+
+  val cell : cells -> int -> aint
+  (** [cell a i] names element [i] of [a]; raises [Invalid_argument]
+      when [i] is out of range.  Accesses through it are costed and
+      interleaved like accesses to any other cell. *)
 
   val load : aint -> int
 

@@ -100,13 +100,18 @@ let name = "sim"
 
 (* ------------------------------------------------------------------ *)
 (* Shared cells with an ownership tag for the coherence approximation: *)
-(* [owner] is the tid of the last writer, [owner_shared] once a remote *)
-(* thread has read the line, [owner_fresh] before any access.          *)
+(* the owner is the tid of the last writer, [owner_shared] once a      *)
+(* remote thread has read the line, [owner_fresh] before any access.   *)
+(* A cell is two adjacent ints of an unboxed array, value at [off] and *)
+(* owner at [off + 1]: a cell array is one flat block (two words per   *)
+(* cell), and a standalone cell is a two-element array, so both kinds  *)
+(* share one access and cost path.                                     *)
 
 let owner_shared = -2
 let owner_fresh = -3
 
-type aint = { mutable v : int; mutable owner : int }
+type aint = { mem : int array; off : int }
+type cells = int array
 
 (* ------------------------------------------------------------------ *)
 (* Fibers.                                                             *)
@@ -149,7 +154,13 @@ let mk_fiber id =
     kont = None;
   }
 
-let cur : fiber ref = ref (mk_fiber (-1))
+(* The pseudo-fiber of code running outside {!run}'s fibers (setup, and
+   the scheduler between resumptions).  One static record: the only state
+   such code can leave on it is the restartable flag, which the scheduler
+   clears each time it switches back. *)
+let idle = mk_fiber (-1)
+
+let cur : fiber ref = ref idle
 let fibers : fiber array ref = ref [||]
 let live = ref 0
 let n_threads = ref 1
@@ -257,7 +268,18 @@ let prologue cost =
 (* ------------------------------------------------------------------ *)
 (* Atomic cells.                                                       *)
 
-let make v = { v; owner = owner_fresh }
+let make v = { mem = [| v; owner_fresh |]; off = 0 }
+
+let make_cells n v =
+  let a = Array.make (2 * n) owner_fresh in
+  for i = 0 to n - 1 do
+    a.(2 * i) <- v
+  done;
+  a
+
+let cell a i =
+  if i < 0 || 2 * i >= Array.length a then invalid_arg "Sim_rt.cell";
+  { mem = a; off = 2 * i }
 
 (* Padding is a real-hardware concern; the sim's cost model is per-cell
    (ownership tags), so contended and uncontended cells are already
@@ -266,52 +288,52 @@ let make_padded = make
 
 let load_cost a base =
   let f = !cur in
-  if a.owner = f.id || a.owner = owner_shared || a.owner = owner_fresh then
-    base
+  let owner = a.mem.(a.off + 1) in
+  if owner = f.id || owner = owner_shared || owner = owner_fresh then base
   else begin
-    a.owner <- owner_shared;
+    a.mem.(a.off + 1) <- owner_shared;
     base + !cfg.c_miss
   end
 
 let write_cost a base =
   let f = !cur in
+  let owner = a.mem.(a.off + 1) in
   let c =
-    if a.owner = f.id || a.owner = owner_fresh then base
-    else base + !cfg.c_miss
+    if owner = f.id || owner = owner_fresh then base else base + !cfg.c_miss
   in
-  a.owner <- f.id;
+  a.mem.(a.off + 1) <- f.id;
   c
 
 let load a =
   if in_fiber () then prologue (load_cost a !cfg.c_load);
-  a.v
+  a.mem.(a.off)
 
 let plain_load a =
   if in_fiber () then prologue (load_cost a !cfg.c_plain_load);
-  a.v
+  a.mem.(a.off)
 
 let store a v =
   if in_fiber () then prologue (write_cost a !cfg.c_store);
-  a.v <- v
+  a.mem.(a.off) <- v
 
 let cas a expected desired =
   if in_fiber () then prologue (write_cost a !cfg.c_atomic);
-  if a.v = expected then begin
-    a.v <- desired;
+  if a.mem.(a.off) = expected then begin
+    a.mem.(a.off) <- desired;
     true
   end
   else false
 
 let faa a d =
   if in_fiber () then prologue (write_cost a !cfg.c_atomic);
-  let old = a.v in
-  a.v <- old + d;
+  let old = a.mem.(a.off) in
+  a.mem.(a.off) <- old + d;
   old
 
 let xchg a v =
   if in_fiber () then prologue (write_cost a !cfg.c_atomic);
-  let old = a.v in
-  a.v <- v;
+  let old = a.mem.(a.off) in
+  a.mem.(a.off) <- v;
   old
 
 (* ------------------------------------------------------------------ *)
@@ -535,7 +557,8 @@ let run ~nthreads:n body =
                     Some (fun (k : (a, unit) continuation) -> f.kont <- Some k)
                 | _ -> None);
           });
-    cur := mk_fiber (-1)
+    idle.restartable <- false;
+    cur := idle
   in
   let stuck_msg () =
     String.concat "; "

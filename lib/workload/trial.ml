@@ -62,8 +62,11 @@ module Cfg = struct
           (* Room for the live structure plus leaky churn.  Structures
              allocate at most ~2 records per element (tree routers, CoW);
              leaky runs additionally consume a slot per update.  Kept tight
-             because pool construction cost is per-trial; trials that
-             genuinely need more pass [pool_capacity] explicitly. *)
+             because every trial builds its own pool, whose size is most
+             of the trial's heap: in the simulator a slot is two words per
+             field cell plus two (12 for a DGT record), natively a boxed
+             atomic per cell.  Trials that genuinely need more pass
+             [pool_capacity] explicitly. *)
           (4 * key_range) + 200_000 + (nthreads * 12_000)
     in
     {

@@ -186,6 +186,26 @@ let test_depot_exchange_roundtrip () =
   done;
   Alcotest.(check int) "all 200 back in use" 200 (P.stats p).P.s_in_use
 
+(* Layout guard: in the simulator a slot costs two words per field cell
+   (value and ownership tag, unboxed in one array per field), plus its
+   lock cell and its state and generation words — nothing per slot is a
+   heap block of its own.  [c] covers the per-pool and per-class
+   bookkeeping (magazines, counters, array headers). *)
+let test_sim_slot_layout () =
+  let n = 4096 and c = 512 in
+  List.iter
+    (fun (d, pf) ->
+      let p =
+        P.create ~capacity:n ~data_fields:d ~ptr_fields:pf ~nthreads:1 ()
+      in
+      let words = Obj.reachable_words (Obj.repr p) in
+      let bound = (n * ((2 * (d + pf + 1)) + 2)) + c in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d data + %d ptr fields: %d words <= %d" d pf words
+           bound)
+        true (words <= bound))
+    [ (2, 2); (1, 3); (4, 0) ]
+
 (* Property: under any alloc/free trace, the pool never hands out a slot
    that is currently live, and in_use always equals |allocated \ freed|. *)
 let prop_alloc_free_trace =
@@ -234,5 +254,6 @@ let suite =
       test_magazine_and_depot;
     Alcotest.test_case "depot exchange round-trip" `Quick
       test_depot_exchange_roundtrip;
+    Alcotest.test_case "sim slot layout is flat" `Quick test_sim_slot_layout;
     QCheck_alcotest.to_alcotest prop_alloc_free_trace;
   ]

@@ -3,9 +3,11 @@
 
 module Sim = Nbr_runtime.Sim_rt
 
-let with_config ?(cores = 4) ?(granularity = 1) ?(jitter = 8) ?(seed = 1) f =
+let with_config ?(cores = 4) ?(granularity = 1) ?(jitter = 8) ?(seed = 1)
+    ?(ghz = Sim.default_config.ghz) f =
   let saved = Sim.get_config () in
-  Sim.set_config { Sim.default_config with cores; granularity; jitter; seed };
+  Sim.set_config
+    { Sim.default_config with cores; granularity; jitter; seed; ghz };
   Fun.protect ~finally:(fun () -> Sim.set_config saved) f
 
 let test_runs_all_threads () =
@@ -216,6 +218,80 @@ let test_stuck_watchdog () =
           | () -> Alcotest.fail "expected Stuck"
           | exception Sim.Stuck _ -> ()))
 
+(* Cost parity between a standalone cell and an element of a cell array.
+   One access script walks a cell through every coherence state the cost
+   model distinguishes — fresh, owned by the accessor, shared after a
+   remote read, owned by a remote writer — with every access verb, one
+   access per [run] so each recorded clock is exactly that access's
+   charge (jitter 0, 1 cycle per ns).  Both kinds of cell must give the
+   same values and clocks, and those clocks must be the cost model's. *)
+type op =
+  | Load
+  | Plain
+  | Store of int
+  | Cas of int * int
+  | Faa of int
+  | Xchg of int
+
+let test_cell_cost_parity () =
+  let c = Sim.default_config in
+  let script =
+    [
+      (0, Plain, c.c_plain_load);
+      (0, Load, c.c_load);
+      (0, Store 1, c.c_store);
+      (0, Load, c.c_load);
+      (0, Plain, c.c_plain_load);
+      (0, Cas (1, 2), c.c_atomic);
+      (0, Faa 3, c.c_atomic);
+      (0, Xchg 10, c.c_atomic);
+      (1, Load, c.c_load + c.c_miss);
+      (1, Plain, c.c_plain_load);
+      (0, Load, c.c_load);
+      (0, Store 11, c.c_store + c.c_miss);
+      (1, Cas (11, 12), c.c_atomic + c.c_miss);
+      (0, Faa 1, c.c_atomic + c.c_miss);
+      (1, Xchg 20, c.c_atomic + c.c_miss);
+      (0, Plain, c.c_plain_load + c.c_miss);
+      (1, Cas (0, 1), c.c_atomic + c.c_miss);
+    ]
+  in
+  let apply a = function
+    | Load -> Sim.load a
+    | Plain -> Sim.plain_load a
+    | Store v ->
+        Sim.store a v;
+        v
+    | Cas (e, d) -> Bool.to_int (Sim.cas a e d)
+    | Faa d -> Sim.faa a d
+    | Xchg v -> Sim.xchg a v
+  in
+  let play a =
+    List.map
+      (fun (who, op, _) ->
+        let got = ref (0, 0) in
+        Sim.run ~nthreads:2 (fun tid ->
+            if tid = who then begin
+              let v = apply a op in
+              got := (v, Sim.now_ns ())
+            end);
+        !got)
+      script
+  in
+  with_config ~jitter:0 ~ghz:1.0 (fun () ->
+      let cells = Sim.make_cells 3 7 in
+      let standalone = play (Sim.make 7) in
+      let pooled = play (Sim.cell cells 1) in
+      Alcotest.(check (list (pair int int)))
+        "same values and clocks" standalone pooled;
+      Alcotest.(check (list int))
+        "clocks are the cost model's"
+        (List.map (fun (_, _, cost) -> cost) script)
+        (List.map snd pooled);
+      Alcotest.(check (list int))
+        "neighbouring cells untouched" [ 7; 7 ]
+        [ Sim.load (Sim.cell cells 0); Sim.load (Sim.cell cells 2) ])
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all_threads;
@@ -236,4 +312,6 @@ let suite =
     Alcotest.test_case "oversubscription slows wall clock" `Quick
       test_oversubscription_slows_wall_clock;
     Alcotest.test_case "stuck watchdog fires" `Quick test_stuck_watchdog;
+    Alcotest.test_case "cell array costs like a standalone cell" `Quick
+      test_cell_cost_parity;
   ]
