@@ -254,9 +254,10 @@ let trial_cmd =
     Format.printf "%a@." T.pp_row r;
     Format.printf
       "ops=%d freed=%d retired=%d reclaim_events=%d lo_reclaims=%d \
-       final_in_use=%d uaf=%d size=%d/%d valid=%b@."
+       final_in_use=%d materialized=%d/%d uaf=%d size=%d/%d valid=%b@."
       r.T.total_ops (Nbr_core.Smr_stats.freed r.T.smr_stats) (Nbr_core.Smr_stats.retires r.T.smr_stats)
       (Nbr_core.Smr_stats.reclaim_events r.T.smr_stats) (Nbr_core.Smr_stats.lo_reclaims r.T.smr_stats) r.T.final_in_use
+      r.T.materialized r.T.cfg.T.pool_capacity
       r.T.uaf_reads r.T.final_size r.T.expected_size (T.valid r);
     if not (T.valid r) then exit 1
   in

@@ -27,7 +27,7 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
     mutable checked : int;  (** threads validated for the current epoch *)
   }
 
-  let init ~capacity:_ ~nthreads _ =
+  let init ~capacity:_ ~side:_ ~nthreads _ =
     {
       (* Padded: global epoch + per-thread SWMR announcements (see
          Nbr.Policy.init for the false-sharing rationale). *)

@@ -24,8 +24,8 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
     window : int;
     era : Rt.aint;
     slots : Rt.aint array array;  (** published eras; -1 = empty *)
-    birth : Rt.aint array;
-    retire_era : Rt.aint array;
+    birth : int;  (** per-record metadata: pool side cells ([P.side_cell]) *)
+    retire_era : int;
   }
 
   type local = {
@@ -35,18 +35,18 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
     scratch : int array;  (** collected eras at reclamation *)
   }
 
-  let init ~capacity ~nthreads cfg =
+  let init ~capacity:_ ~side ~nthreads cfg =
     let window = cfg.Smr_config.max_reservations + 2 in
     {
       window;
       (* Padded era + per-thread SWMR era slots; per-record birth/retire
-         stamps stay unpadded (capacity-sized, accessed with the record). *)
+         stamps are side cells of the record's pool slot. *)
       era = Rt.make_padded 1;
       slots =
         Array.init nthreads (fun _ ->
             Array.init window (fun _ -> Rt.make_padded empty_slot));
-      birth = Array.init capacity (fun _ -> Rt.make 0);
-      retire_era = Array.init capacity (fun _ -> Rt.make 0);
+      birth = side ();
+      retire_era = side ();
     }
 
   let init_local s ~nthreads _ =
@@ -60,7 +60,7 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let buffered l = Limbo_bag.size l.bag
   let drain l f = ignore (Limbo_bag.drain l.bag f)
 
-  (* Birth/retire eras live in the shared metadata arrays, so adopted and
+  (* Birth/retire eras live in the slots' side cells, so adopted and
      handed-off slots carry everything the era sweep needs. *)
   let adopt _ l slot = Limbo_bag.push l.bag slot
 
@@ -160,9 +160,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         done
       done;
       let pinned slot =
-        let u = P.uid c.b.pool slot in
-        let birth = Rt.plain_load s.birth.(u) in
-        let death = Rt.plain_load s.retire_era.(u) in
+        let birth = Rt.plain_load (P.side_cell c.b.pool slot s.birth) in
+        let death = Rt.plain_load (P.side_cell c.b.pool slot s.retire_era) in
         let hit = ref false in
         for j = 0 to !k - 1 do
           if (not !hit) && l.scratch.(j) >= birth && l.scratch.(j) <= death
@@ -186,12 +185,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     c.l.alloc_count <- c.l.alloc_count + 1;
     if c.l.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
       ignore (Rt.faa c.b.s.era 1);
-    (* Era metadata is per slot, dense across size-classes/generations. *)
-    Rt.store c.b.s.birth.(P.uid c.b.pool slot) (Rt.load c.b.s.era);
+    (* Era metadata is per slot: side cells keep it across generations. *)
+    Rt.store (P.side_cell c.b.pool slot c.b.s.birth) (Rt.load c.b.s.era);
     slot
 
   let retire c slot =
     note_retired c slot;
-    Rt.store c.b.s.retire_era.(P.uid c.b.pool slot) (Rt.load c.b.s.era);
+    Rt.store (P.side_cell c.b.pool slot c.b.s.retire_era) (Rt.load c.b.s.era);
     buffer_retired c slot ~sweep:on_pressure
 end

@@ -28,7 +28,7 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
     scratch : int array;
   }
 
-  let init ~capacity:_ ~nthreads cfg =
+  let init ~capacity:_ ~side:_ ~nthreads cfg =
     let window = cfg.Smr_config.max_reservations + 2 in
     {
       window;

@@ -33,8 +33,8 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
     era : Rt.aint;
     lo : Rt.aint array;
     hi : Rt.aint array;
-    birth : Rt.aint array;  (** per-record metadata (real algorithm state) *)
-    retire_era : Rt.aint array;
+    birth : int;  (** per-record metadata: pool side cells ([P.side_cell]) *)
+    retire_era : int;
   }
 
   type local = {
@@ -46,17 +46,17 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
     shi : int array;
   }
 
-  let init ~capacity ~nthreads _ =
+  let init ~capacity:_ ~side ~nthreads _ =
     {
       (* Padded: the era is bumped on retires and read per dereference;
          lo/hi are per-thread SWMR interval bounds scanned by reclaimers.
-         The per-record birth/retire stamps below stay unpadded — they are
-         capacity-sized and accessed with the record, not contended rows. *)
+         The per-record birth/retire stamps are side cells of the record's
+         pool slot, materialised with it, not contended rows. *)
       era = Rt.make_padded 1;
       lo = Array.init nthreads (fun _ -> Rt.make_padded inactive_lo);
       hi = Array.init nthreads (fun _ -> Rt.make_padded inactive_hi);
-      birth = Array.init capacity (fun _ -> Rt.make 0);
-      retire_era = Array.init capacity (fun _ -> Rt.make 0);
+      birth = side ();
+      retire_era = side ();
     }
 
   let init_local _ ~nthreads _ =
@@ -71,7 +71,7 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let buffered l = Limbo_bag.size l.bag
   let drain l f = ignore (Limbo_bag.drain l.bag f)
 
-  (* Birth/retire eras live in the shared metadata arrays, so adopted and
+  (* Birth/retire eras live in the slots' side cells, so adopted and
      handed-off slots carry everything the interval sweep needs. *)
   let adopt _ l slot = Limbo_bag.push l.bag slot
 
@@ -119,9 +119,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         l.shi.(t) <- Rt.load s.hi.(t)
       done;
       let pinned slot =
-        let u = P.uid c.b.pool slot in
-        let birth = Rt.plain_load s.birth.(u) in
-        let death = Rt.plain_load s.retire_era.(u) in
+        let birth = Rt.plain_load (P.side_cell c.b.pool slot s.birth) in
+        let death = Rt.plain_load (P.side_cell c.b.pool slot s.retire_era) in
         let hit = ref false in
         for t = 0 to c.b.n - 1 do
           if (not !hit) && birth <= l.shi.(t) && death >= l.slo.(t) then
@@ -145,14 +144,14 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     c.l.alloc_count <- c.l.alloc_count + 1;
     if c.l.alloc_count mod c.b.cfg.Smr_config.epoch_freq = 0 then
       ignore (Rt.faa c.b.s.era 1);
-    (* Era metadata is per {e slot}, not per handle: [uid] keeps the
-       arrays dense across size-classes and generations. *)
-    Rt.store c.b.s.birth.(P.uid c.b.pool slot) (Rt.load c.b.s.era);
+    (* Era metadata is per {e slot}, not per handle: side cells keep it
+       across generations. *)
+    Rt.store (P.side_cell c.b.pool slot c.b.s.birth) (Rt.load c.b.s.era);
     slot
 
   let retire c slot =
     note_retired c slot;
-    Rt.store c.b.s.retire_era.(P.uid c.b.pool slot) (Rt.load c.b.s.era);
+    Rt.store (P.side_cell c.b.pool slot c.b.s.retire_era) (Rt.load c.b.s.era);
     buffer_retired c slot ~sweep:on_pressure
 
   (* IBR imposes the same restart obligation on structures as HP: a

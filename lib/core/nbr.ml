@@ -38,7 +38,7 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
     mutable retires_since_scan : int;
   }
 
-  let init ~capacity:_ ~nthreads cfg =
+  let init ~capacity:_ ~side:_ ~nthreads cfg =
     {
       (* Padded cells: each thread's SWMR slots are written on every
          [end_read] and scanned by every reclaimer — unpadded, eight

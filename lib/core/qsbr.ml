@@ -24,7 +24,7 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   (* Padded per-thread quiescence counters: bumped by their owner on
      every operation, scanned by every reclaimer. *)
-  let init ~capacity:_ ~nthreads _ =
+  let init ~capacity:_ ~side:_ ~nthreads _ =
     { qs = Array.init nthreads (fun _ -> Rt.make_padded 0) }
 
   let init_local _ ~nthreads:_ _ = { current = Int_vec.create (); parked = [] }

@@ -20,7 +20,7 @@ module Policy (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   type local = { bag : Limbo_bag.t }
 
-  let init ~capacity ~nthreads _ =
+  let init ~capacity ~side:_ ~nthreads _ =
     {
       (* Padded: the global epoch is bumped by every reclaimer while every
          reader loads it, and the per-thread announcements are SWMR cells

@@ -14,7 +14,8 @@ module type POLICY = sig
   type shared
   type local
 
-  val init : capacity:int -> nthreads:int -> Smr_config.t -> shared
+  val init :
+    capacity:int -> side:(unit -> int) -> nthreads:int -> Smr_config.t -> shared
   val init_local : shared -> nthreads:int -> Smr_config.t -> local
   val buffered : local -> int
   val drain : local -> (int -> unit) -> unit
@@ -26,7 +27,7 @@ module Stateless = struct
   type shared = unit
   type local = unit
 
-  let init ~capacity:_ ~nthreads:_ _ = ()
+  let init ~capacity:_ ~side:_ ~nthreads:_ _ = ()
   let init_local () ~nthreads:_ _ = ()
   let buffered () = 0
   let drain () _ = ()
@@ -62,7 +63,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) (Policy : POLICY) = struct
       pool;
       n = nthreads;
       cfg;
-      s = Policy.init ~capacity:(P.capacity pool) ~nthreads cfg;
+      s =
+        Policy.init ~capacity:(P.capacity pool)
+          ~side:(fun () -> P.add_side pool)
+          ~nthreads cfg;
       lc = L.create ~nthreads;
       done_stats = Smr_stats.zero ();
       ctxs = Array.make nthreads None;

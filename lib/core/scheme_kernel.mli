@@ -51,8 +51,12 @@ module type POLICY = sig
   type local
   (** Per-thread protocol state, limbo included. *)
 
-  val init : capacity:int -> nthreads:int -> Smr_config.t -> shared
-  (** [capacity] is the pool's, for per-slot metadata. *)
+  val init :
+    capacity:int -> side:(unit -> int) -> nthreads:int -> Smr_config.t -> shared
+  (** [capacity] is the pool's, for per-slot metadata arrays.  [side ()]
+      registers one per-slot side cell in the pool and returns its number
+      for [P.side_cell]: metadata that lives, and is materialised, with
+      the slot.  [init] runs before the pool's first allocation. *)
 
   val init_local : shared -> nthreads:int -> Smr_config.t -> local
 

@@ -85,11 +85,10 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             c
         | None ->
             (* Sized for the live set a Zipfian run actually touches,
-               not the whole keyspace; clamped because the pools are the
-               memory cost of a big run: per slot, two words per field
-               cell plus two in the simulator (8 for a hash-set record),
-               a boxed atomic per cell natively.  Heavy drivers pass it
-               explicitly. *)
+               not the whole keyspace.  Capacity is a limit: a shard's
+               pool materialises memory in chunks as allocation reaches
+               them, so unused headroom costs next to nothing.  Heavy
+               drivers pass it explicitly. *)
             min 262_144 (max 8192 (keyspace / (2 * nshards)))
       in
       {

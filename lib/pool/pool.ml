@@ -9,9 +9,12 @@
     are:
 
     - Records live in {e size-classes}: each class has its own slot width
-      (data/ptr field counts) and its own pre-allocated field arrays, so a
-      process hosting several structures does not pay the widest layout
-      everywhere.
+      (data/ptr field counts), so a process hosting several structures
+      does not pay the widest layout everywhere.  A class's slots are
+      backed by fixed-size {e chunks}, materialised when the bump
+      allocator first reaches them: capacity is a limit, not a
+      reservation, and memory follows the high-water mark of slots ever
+      handed out.
     - A record is named by a {e generational handle}: one immutable int
       packing [(generation, class, index)] (see {!Handle}).  [free] bumps
       the slot's generation, so every handle minted before the free is
@@ -142,17 +145,38 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     mutable t_frees_run : int;  (** consecutive frees since last alloc *)
   }
 
+  (** Slots per chunk, a power of two and a multiple of {!fresh_batch},
+      so one fresh batch never straddles two chunks. *)
+  let chunk_bits = 10
+
+  let chunk_slots = 1 lsl chunk_bits
+  let chunk_mask = chunk_slots - 1
+  let () = assert (chunk_slots mod fresh_batch = 0)
+
+  (* The memory of slots [k * chunk_slots, (k + 1) * chunk_slots) of one
+     class.  Field [f] of the slot at offset [o] is cell
+     [(f lsl chunk_bits) lor o] of [k_data] (data fields, then the slot
+     lock, then the side cells) or of [k_ptr] (pointer fields). *)
+  type chunk = {
+    k_id : int;  (** [k]; a table entry whose [k_id] differs is a stand-in *)
+    k_st : int array;  (** 0 = Free, 1 = Live, 2 = Retired *)
+    k_gen : int array;  (** current generation; bumped on each free *)
+    k_data : Rt.cells;
+    k_ptr : Rt.cells;
+  }
+
   type cls = {
     c_id : int;
     c_base : int;  (** flat-uid prefix: sum of preceding class capacities *)
     c_capacity : int;
     c_data_fields : int;
     c_ptr_fields : int;
-    c_data : Rt.cells array;  (** slot [i] of field [f]: [Rt.cell c_data.(f) i] *)
-    c_ptr : Rt.cells array;
-    c_lock : Rt.cells;
-    c_st : int array;  (** 0 = Free, 1 = Live, 2 = Retired *)
-    c_gen : int array;  (** current generation; bumped on each free *)
+    c_chunks : chunk array;
+        (** chunk [k] of the class.  Entries not yet materialised hold
+            chunk 0, so a peek through a handle into them lands on memory
+            that exists; [valid] tells them apart by [k_id].  Written only
+            under [c_grow]. *)
+    c_grow : Mutex.t;  (** serialises chunk installation (slow path) *)
     c_next_fresh : int Atomic.t;  (** bump allocator over never-used slots *)
     c_mags : mag Atomic.t array;
         (** per-thread magazine, detachable: {!flush_thread} (graceful
@@ -180,6 +204,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     classes : cls array;
     total_capacity : int;
     nthreads : int;
+    mutable sides : int;  (** per-slot side cells registered ({!add_side}) *)
     mutable gen_check : bool;
         (** ablation A4 ([Smr_config.unsafe_no_generation_check]) sets
             this false: validated reads stop failing with [Stale] and
@@ -217,21 +242,35 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     c_free_slow : int;  (** extra cycles per slow-path free / depot trip *)
   }
 
+  (* Data fields, the lock and the side cells all start at 0; pointer
+     fields at [nil]. *)
+  let new_chunk ~data_fields ~ptr_fields ~sides k =
+    {
+      k_id = k;
+      k_st = Array.make chunk_slots 0;
+      k_gen = Array.make chunk_slots 0;
+      k_data = Rt.make_cells ((data_fields + 1 + sides) * chunk_slots) 0;
+      k_ptr = Rt.make_cells (ptr_fields * chunk_slots) nil;
+    }
+
+  (* Chunk 0 exists from the start: it is where peeks through handles
+     into unmaterialised chunks land. *)
   let mk_class ~nthreads ~base ~id spec =
     if spec.cc_capacity <= 0 || spec.cc_capacity > Handle.max_capacity then
       invalid_arg "Pool.create: class capacity";
     let cap = spec.cc_capacity in
+    let chunk0 =
+      new_chunk ~data_fields:spec.cc_data_fields
+        ~ptr_fields:spec.cc_ptr_fields ~sides:0 0
+    in
     {
       c_id = id;
       c_base = base;
       c_capacity = cap;
       c_data_fields = spec.cc_data_fields;
       c_ptr_fields = spec.cc_ptr_fields;
-      c_data = Array.init spec.cc_data_fields (fun _ -> Rt.make_cells cap 0);
-      c_ptr = Array.init spec.cc_ptr_fields (fun _ -> Rt.make_cells cap nil);
-      c_lock = Rt.make_cells cap 0;
-      c_st = Array.make cap 0;
-      c_gen = Array.make cap 0;
+      c_chunks = Array.make ((cap + chunk_mask) lsr chunk_bits) chunk0;
+      c_grow = Mutex.create ();
       c_next_fresh = Atomic.make 0;
       c_mags = Array.init nthreads (fun _ -> Atomic.make (new_mag ()));
       c_depot_full = Nbr_sync.Treiber.create ();
@@ -264,6 +303,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       classes = cls;
       total_capacity = !base;
       nthreads;
+      sides = 0;
       gen_check = true;
       starving = Atomic.make 0;
       wm_lo = 0;
@@ -300,6 +340,50 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let class_capacity t i = t.classes.(i).c_capacity
   let set_generation_check t b = t.gen_check <- b
 
+  let new_class_chunk t c k =
+    new_chunk ~data_fields:c.c_data_fields ~ptr_fields:c.c_ptr_fields
+      ~sides:t.sides k
+
+  (** Register one more per-slot side cell, initially 0, in every class
+      and return its number for {!side_cell}.  Set-up only: it rebuilds
+      the (still untouched) chunk 0 of each class, so it raises once any
+      slot has been handed out. *)
+  let add_side t =
+    if Array.exists (fun c -> Atomic.get c.c_next_fresh > 0) t.classes then
+      invalid_arg "Pool.add_side: the pool has already allocated";
+    t.sides <- t.sides + 1;
+    Array.iter
+      (fun c ->
+        Array.fill c.c_chunks 0 (Array.length c.c_chunks)
+          (new_class_chunk t c 0))
+      t.classes;
+    t.sides - 1
+
+  (* Chunk [k] of [c], installed if it is not there yet.  Called on every
+     fresh refill, the only way a handle into a new chunk is minted, and
+     always under the mutex: a minting thread has then either installed
+     the chunk or acquired the mutex after its installer, so its plain
+     reads of the table see it; every other thread that holds such a
+     handle got it through an atomic hand-off (magazine, depot, overflow
+     stack, a published link) from one that did.  An unlocked pre-check
+     would save nothing measurable — fresh refills are one in
+     [fresh_batch] allocations while the pool grows, and none after — and
+     would break that chain: a racy read that happens to see the new
+     entry orders nothing. *)
+  let materialise t c k =
+    Mutex.lock c.c_grow;
+    let ch = c.c_chunks.(k) in
+    let ch =
+      if ch.k_id = k then ch
+      else begin
+        let ch = new_class_chunk t c k in
+        c.c_chunks.(k) <- ch;
+        ch
+      end
+    in
+    Mutex.unlock c.c_grow;
+    ch
+
   (* ---------------- handle decoding ---------------- *)
 
   (* [slot_class] and [slot_index] map {e any} int onto a real (class,
@@ -312,7 +396,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
      validated accessors reject such handles as [Stale] first, which is
      the whole point of the generational rewrite.  Two functions rather
      than one returning a pair: the address is computed on every field
-     access, and a pair would be allocated each time. *)
+     access, and a pair would be allocated each time.  A slot in a chunk
+     not yet materialised needs no test here: its table entry is chunk 0,
+     so the peek lands on chunk 0's slot at the same offset. *)
   let slot_class t h =
     let ci = Handle.cls h in
     if h < 0 || ci >= Array.length t.classes then t.classes.(0)
@@ -322,32 +408,47 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     let i = Handle.index h in
     if i >= c.c_capacity then 0 else i
 
-  (** A handle is valid iff it names a class/index that exists and its
-      packed generation matches the slot's current one.  Every [free]
-      bumps the generation, so validity implies the record this handle
-      was minted for has not been freed since. *)
+  let chunk_at c i = c.c_chunks.(i lsr chunk_bits)
+  let cell_index f i = (f lsl chunk_bits) lor (i land chunk_mask)
+
+  (** A handle is valid iff it names a class/index that exists in a
+      materialised chunk and its packed generation matches the slot's
+      current one.  Every [free] bumps the generation, so validity implies
+      the record this handle was minted for has not been freed since. *)
   let valid t h =
     h >= 0
     && Handle.cls h < Array.length t.classes
     &&
     let c = t.classes.(Handle.cls h) in
     let i = Handle.index h in
-    i < c.c_capacity && c.c_gen.(i) = Handle.gen h
+    i < c.c_capacity
+    &&
+    let k = chunk_at c i in
+    k.k_id = i lsr chunk_bits && k.k_gen.(i land chunk_mask) = Handle.gen h
 
   (** Stable flat index in [0, capacity): per-record metadata arrays
-      (IBR/HE birth eras, RCU retire epochs) index by this, so they stay
-      dense across size-classes and survive generation bumps. *)
+      (RCU retire epochs) index by this, so they stay dense across
+      size-classes and survive generation bumps. *)
   let uid t h =
     let c = slot_class t h in
     c.c_base + slot_index c h
 
+  (* Uncosted per-slot instrumentation words, through the collapse. *)
+  let slot_gen t h =
+    let c = slot_class t h in
+    let i = slot_index c h in
+    (chunk_at c i).k_gen.(i land chunk_mask)
+
+  let slot_st t h =
+    let c = slot_class t h in
+    let i = slot_index c h in
+    (chunk_at c i).k_st.(i land chunk_mask)
+
   let note_stale t h =
     Atomic.incr t.uaf_reads;
-    if !Nbr_obs.Trace.fine then begin
-      let c = slot_class t h in
+    if !Nbr_obs.Trace.fine then
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-        Nbr_obs.Trace.Stale_handle h c.c_gen.(slot_index c h)
-    end
+        Nbr_obs.Trace.Stale_handle h (slot_gen t h)
 
   (* ---------------- occupancy accounting ---------------- *)
 
@@ -489,14 +590,17 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
           let got = min fresh_batch (c.c_capacity - s0) in
           if got <= 0 then None
           else begin
+            let gen = (materialise t c (s0 lsr chunk_bits)).k_gen in
             let mag = Atomic.get c.c_mags.(tid) in
             for k = 1 to got - 1 do
               let i = s0 + k in
               mag.slots.(mag.n) <-
-                Handle.pack ~cls:c.c_id ~index:i ~gen:c.c_gen.(i);
+                Handle.pack ~cls:c.c_id ~index:i ~gen:gen.(i land chunk_mask);
               mag.n <- mag.n + 1
             done;
-            Some (Handle.pack ~cls:c.c_id ~index:s0 ~gen:c.c_gen.(s0))
+            Some
+              (Handle.pack ~cls:c.c_id ~index:s0
+                 ~gen:gen.(s0 land chunk_mask))
           end
         end
 
@@ -565,7 +669,8 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
             in
             retry 1
     in
-    c.c_st.(Handle.index h) <- 1;
+    let i = Handle.index h in
+    (chunk_at c i).k_st.(i land chunk_mask) <- 1;
     ts.t_allocs <- ts.t_allocs + 1;
     bump_occ t c ts 1;
     if !Nbr_obs.Trace.fine then
@@ -583,8 +688,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     else begin
       let c = slot_class t h in
       let i = slot_index c h in
-      if c.c_st.(i) <> 2 then begin
-        c.c_st.(i) <- 2;
+      let k = chunk_at c i and o = i land chunk_mask in
+      if k.k_st.(o) <> 2 then begin
+        k.k_st.(o) <- 2;
         let g = Atomic.fetch_and_add c.c_garbage 1 + 1 in
         note_peak c.c_peak_garbage g;
         if !Nbr_obs.Trace.fine then
@@ -621,11 +727,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
         (Printf.sprintf "Pool.free: stale or double free of handle %d" h);
     let c = slot_class t h in
     let i = slot_index c h in
+    let k = chunk_at c i and o = i land chunk_mask in
     let ts = c.c_tstats.(Rt.self ()) in
-    if c.c_st.(i) = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
-    c.c_st.(i) <- 0;
+    if k.k_st.(o) = 2 then ignore (Atomic.fetch_and_add c.c_garbage (-1));
+    k.k_st.(o) <- 0;
     let g = (Handle.gen h + 1) land Handle.gen_mask in
-    c.c_gen.(i) <- g;
+    k.k_gen.(o) <- g;
     let h' = Handle.pack ~cls:c.c_id ~index:i ~gen:g in
     ts.t_frees <- ts.t_frees + 1;
     bump_occ t c ts (-1);
@@ -702,15 +809,26 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
 
   let data_cell t h f =
     let c = slot_class t h in
-    Rt.cell c.c_data.(f) (slot_index c h)
+    let i = slot_index c h in
+    Rt.cell (chunk_at c i).k_data (cell_index f i)
 
   let ptr_cell t h f =
     let c = slot_class t h in
-    Rt.cell c.c_ptr.(f) (slot_index c h)
+    let i = slot_index c h in
+    Rt.cell (chunk_at c i).k_ptr (cell_index f i)
 
   let lock_cell t h =
     let c = slot_class t h in
-    Rt.cell c.c_lock (slot_index c h)
+    let i = slot_index c h in
+    Rt.cell (chunk_at c i).k_data (cell_index c.c_data_fields i)
+
+  (** Side cell [j] of the slot [h] names, whatever the handle's
+      generation: per-slot scheme metadata that outlives the record, like
+      {!uid}.  Costed like any cell; no generation check. *)
+  let side_cell t h j =
+    let c = slot_class t h in
+    let i = slot_index c h in
+    Rt.cell (chunk_at c i).k_data (cell_index (c.c_data_fields + 1 + j) i)
 
   (* A validated read that caught a stale handle: with the check on it
      fails gracefully ([Stale], traced as such but NOT as an [Access] —
@@ -722,11 +840,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     note_stale t h;
     if t.gen_check then Stale v
     else begin
-      if !Nbr_obs.Trace.fine then begin
-        let c = slot_class t h in
+      if !Nbr_obs.Trace.fine then
         Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-          Nbr_obs.Trace.Access h c.c_st.(slot_index c h)
-      end;
+          Nbr_obs.Trace.Access h (slot_st t h);
       Value v
     end
 
@@ -777,16 +893,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       the slot now). *)
   let state t h =
     if not (valid t h) then Free
-    else
-      let c = slot_class t h in
-      match c.c_st.(slot_index c h) with 0 -> Free | 1 -> Live | _ -> Retired
+    else match slot_st t h with 0 -> Free | 1 -> Live | _ -> Retired
 
   (** Current generation of the slot a handle names (uncosted).  Equal to
       [Handle.gen h] iff the handle is still valid; bumped by each
       [free], so it is the ABA/UAF witness the tests read. *)
-  let seqno t h =
-    let c = slot_class t h in
-    c.c_gen.(slot_index c h)
+  let seqno = slot_gen
 
   (** Costed lifecycle checks, for protection validation.  Hazard-style
       schemes must verify, after announcing, that the target "has not
@@ -798,10 +910,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       they model. *)
   let live t h =
     Rt.work 2;
-    valid t h
-    &&
-    let c = slot_class t h in
-    c.c_st.(slot_index c h) = 1
+    valid t h && slot_st t h = 1
 
   (** Current slot generation with an access charge: lets validators
       detect free-and-recycle (ABA on the slot) between two reads. *)
@@ -821,11 +930,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
   let record_read t h =
     let uaf = h >= 0 && not (valid t h) in
     if uaf then Atomic.incr t.uaf_reads;
-    if h >= 0 && !Nbr_obs.Trace.fine then begin
-      let c = slot_class t h in
+    if h >= 0 && !Nbr_obs.Trace.fine then
       Nbr_obs.Trace.emit ~tid:(Rt.self ()) ~ns:(Rt.now_ns ())
-        Nbr_obs.Trace.Access h c.c_st.(slot_index c h)
-    end;
+        Nbr_obs.Trace.Access h (slot_st t h);
     uaf
 
   type stats = {
@@ -875,7 +982,13 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
     k_peak_garbage : int;
     k_allocs : int;
     k_frees : int;
+    k_materialized : int;
   }
+
+  let materialised c =
+    let n = ref 0 in
+    Array.iteri (fun k ch -> if ch.k_id = k then incr n) c.c_chunks;
+    !n
 
   let class_stats t i =
     let c = t.classes.(i) in
@@ -890,6 +1003,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) = struct
       k_allocs =
         Array.fold_left (fun acc ts -> acc + ts.t_allocs) 0 c.c_tstats;
       k_frees = Array.fold_left (fun acc ts -> acc + ts.t_frees) 0 c.c_tstats;
+      k_materialized = min c.c_capacity (materialised c * chunk_slots);
     }
 
   (** Reset the high-water marks to the current values (called after

@@ -15,10 +15,13 @@
     out of.
 
     Records live in {e size-classes} (per-class slot widths and
-    capacities), and allocation is two-level in the Bonwick magazine
-    style: a per-thread, padded magazine of ready handles per class,
-    backed by a lock-free depot of full/empty magazines, so steady-state
-    [alloc]/[free] touches only thread-local state.
+    capacities).  A class's memory comes in fixed-size chunks of slots,
+    materialised when the bump allocator first reaches them, so a pool
+    costs memory for the slots it has handed out, not for its capacity.
+    Allocation is two-level in the Bonwick magazine style: a per-thread,
+    padded magazine of ready handles per class, backed by a lock-free
+    depot of full/empty magazines, so steady-state [alloc]/[free] touches
+    only thread-local state.
 
     Exhaustion is graceful: [alloc] invokes the caller-supplied
     reclamation flush, announces itself as starving (rerouting concurrent
@@ -78,7 +81,7 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
 
   type t
   (** A pool instance.  All mutation goes through the functions below;
-      the representation (field arrays, magazines, depots,
+      the representation (chunked field arrays, magazines, depots,
       instrumentation counters) is private to the implementation. *)
 
   val nil : int
@@ -117,20 +120,32 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   (** Multi-size-class pool: one {!class_spec} per class, at most
       {!Handle.max_classes}. *)
 
+  val chunk_slots : int
+  (** Slots per chunk, the unit in which a class's memory is
+      materialised. *)
+
   val capacity : t -> int
-  (** Total capacity across all classes. *)
+  (** Total capacity across all classes: a limit, not a reservation. *)
 
   val nclasses : t -> int
   val class_capacity : t -> int -> int
 
   val valid : t -> int -> bool
   (** Whether a handle's packed generation matches its slot's current
-      one, i.e. the record it names has not been freed. *)
+      one, i.e. the record it names has not been freed.  A handle into a
+      chunk that was never materialised is never valid. *)
 
   val uid : t -> int -> int
   (** Stable flat index in [0, capacity) for the slot a handle names:
-      per-record metadata arrays (IBR/HE birth eras, RCU retire epochs)
-      index by this so they stay dense across size-classes. *)
+      per-record metadata arrays (RCU retire epochs) index by this so
+      they stay dense across size-classes. *)
+
+  val add_side : t -> int
+  (** Register one more per-slot {e side cell} in every class, initially
+      0, and return its number for {!side_cell}.  Side cells are scheme
+      metadata kept with the slot (IBR/HE birth and retire eras): they
+      are materialised with the slot's chunk and survive frees.  Set-up
+      only: raises [Invalid_argument] once the pool has allocated. *)
 
   val set_generation_check : t -> bool -> unit
   (** Ablation A4 ([Smr_config.unsafe_no_generation_check]): with the
@@ -221,6 +236,12 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
   val data_cell : t -> int -> int -> aint
   val ptr_cell : t -> int -> int -> aint
   val lock_cell : t -> int -> aint
+
+  val side_cell : t -> int -> int -> aint
+  (** [side_cell t h j]: side cell [j] ({!add_side}) of the slot [h]
+      names, whatever the handle's generation — the slot semantics of
+      {!uid}.  A cell accessor: no generation check. *)
+
   val get_data : t -> int -> int -> int
   val set_data : t -> int -> int -> int -> unit
   val get_data_sync : t -> int -> int -> int
@@ -286,6 +307,9 @@ module Make (Rt : Nbr_runtime.Runtime_intf.S) : sig
     k_peak_garbage : int;
     k_allocs : int;
     k_frees : int;
+    k_materialized : int;
+        (** slots backed by memory: materialised chunks, capped at
+            [k_capacity] *)
   }
 
   val class_stats : t -> int -> class_stats

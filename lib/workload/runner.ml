@@ -287,6 +287,7 @@ struct
         float_of_int total_ops /. (float_of_int cfg.duration_ns /. 1e9) /. 1e6;
       peak_unreclaimed = ps.P.s_peak_in_use;
       final_in_use = ps.P.s_in_use;
+      materialized = (P.class_stats pool 0).P.k_materialized;
       uaf_reads = ps.P.s_uaf_reads;
       signals = Rt.signals_sent ();
       signals_dropped = Rt.signals_dropped ();

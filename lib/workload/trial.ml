@@ -61,12 +61,12 @@ module Cfg = struct
       | None ->
           (* Room for the live structure plus leaky churn.  Structures
              allocate at most ~2 records per element (tree routers, CoW);
-             leaky runs additionally consume a slot per update.  Kept tight
-             because every trial builds its own pool, whose size is most
-             of the trial's heap: in the simulator a slot is two words per
-             field cell plus two (12 for a DGT record), natively a boxed
-             atomic per cell.  Trials that genuinely need more pass
-             [pool_capacity] explicitly. *)
+             leaky runs additionally consume a slot per update.  The
+             capacity is a limit, not a reservation: the pool
+             materialises memory in chunks as allocation reaches them, so
+             headroom that is never used costs one table word per 1 024
+             slots.  Trials that genuinely need more pass [pool_capacity]
+             explicitly. *)
           (4 * key_range) + 200_000 + (nthreads * 12_000)
     in
     {
@@ -154,6 +154,7 @@ type result = {
   throughput_mops : float;  (** million operations per second *)
   peak_unreclaimed : int;  (** pool high-water mark after prefill *)
   final_in_use : int;
+  materialized : int;  (** pool slots backed by memory at the end *)
   uaf_reads : int;  (** guarded reads that hit freed slots *)
   signals : int;
   signals_dropped : int;  (** lost to an injected signal fault *)

@@ -121,6 +121,9 @@ type result = {
   throughput_mops : float;  (** million operations per second *)
   peak_unreclaimed : int;  (** pool high-water mark after prefill *)
   final_in_use : int;
+  materialized : int;
+      (** pool slots backed by memory at the end: chunks the allocator
+          reached, out of [cfg.pool_capacity] *)
   uaf_reads : int;  (** guarded reads that hit freed slots *)
   signals : int;
   signals_dropped : int;  (** lost to an injected signal fault *)

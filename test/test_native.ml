@@ -102,6 +102,44 @@ let check_parity ~scheme ~structure () =
     0 rs.T.uaf_reads;
   check_one (H.run ~scheme ~structure cfg)
 
+(* Chunk installation under real domains: four domains allocate from a
+   fresh pool across many chunk boundaries at once, so they race to
+   materialise the same chunks.  Each tags its handles with its index in
+   a data field; after the join every handle must be valid, distinct and
+   read back its own tag — a chunk installed twice, or a handle minted
+   into a chunk another domain cannot see, fails one of the three. *)
+module NP = Nbr_pool.Pool.Make (Nat)
+
+let test_chunk_install_race () =
+  let nd = 4 and per = 6 * NP.chunk_slots in
+  let p =
+    NP.create ~capacity:(nd * per) ~data_fields:1 ~ptr_fields:1 ~nthreads:nd
+      ()
+  in
+  let got = Array.make_matrix nd per NP.nil in
+  Nat.run ~nthreads:nd (fun tid ->
+      let mine = got.(tid) in
+      for j = 0 to per - 1 do
+        let h = NP.alloc p in
+        NP.set_data p h 0 ((tid * per) + j);
+        mine.(j) <- h
+      done);
+  let seen = Hashtbl.create (nd * per) in
+  Array.iteri
+    (fun tid mine ->
+      Array.iteri
+        (fun j h ->
+          if not (NP.valid p h) then Alcotest.failf "handle %d invalid" h;
+          if Hashtbl.mem seen h then Alcotest.failf "handle %d twice" h;
+          Hashtbl.add seen h ();
+          Alcotest.(check int) "reads back its tag" ((tid * per) + j)
+            (NP.get_data p h 0))
+        mine)
+    got;
+  Alcotest.(check int) "every chunk materialised" (nd * per)
+    (NP.class_stats p 0).NP.k_materialized;
+  Alcotest.(check int) "no stale access" 0 (NP.stats p).NP.s_uaf_reads
+
 let parity_combos =
   [
     ("nbr", "lazy-list");
@@ -116,6 +154,8 @@ let suite =
     Alcotest.test_case "atomics across domains" `Quick test_runtime_basics;
     Alcotest.test_case "signal delivery via polling" `Quick
       test_signal_counters;
+    Alcotest.test_case "pool chunk install race" `Quick
+      test_chunk_install_race;
   ]
   @ List.map
       (fun (scheme, structure) ->

@@ -187,10 +187,11 @@ let test_depot_exchange_roundtrip () =
   Alcotest.(check int) "all 200 back in use" 200 (P.stats p).P.s_in_use
 
 (* Layout guard: in the simulator a slot costs two words per field cell
-   (value and ownership tag, unboxed in one array per field), plus its
+   (value and ownership tag, unboxed in one array per chunk), plus its
    lock cell and its state and generation words — nothing per slot is a
    heap block of its own.  [c] covers the per-pool and per-class
-   bookkeeping (magazines, counters, array headers). *)
+   bookkeeping (magazines, counters, chunk table, array headers).  Every
+   slot is allocated first, so every chunk is materialised. *)
 let test_sim_slot_layout () =
   let n = 4096 and c = 512 in
   List.iter
@@ -198,6 +199,11 @@ let test_sim_slot_layout () =
       let p =
         P.create ~capacity:n ~data_fields:d ~ptr_fields:pf ~nthreads:1 ()
       in
+      for _ = 1 to n do
+        ignore (P.alloc p)
+      done;
+      Alcotest.(check int) "all chunks materialised" n
+        (P.class_stats p 0).P.k_materialized;
       let words = Obj.reachable_words (Obj.repr p) in
       let bound = (n * ((2 * (d + pf + 1)) + 2)) + c in
       Alcotest.(check bool)
@@ -205,6 +211,99 @@ let test_sim_slot_layout () =
            bound)
         true (words <= bound))
     [ (2, 2); (1, 3); (4, 0) ]
+
+(* Chunks: a pool costs memory for the slots it has handed out, not for
+   its capacity.  [chunk_words] is one materialised chunk of the
+   2+2-field shape; [table_and_c] the chunk table (one word per chunk of
+   capacity) plus the bookkeeping slack of [test_sim_slot_layout]. *)
+let big_capacity = 1 lsl 20
+let chunk_words = P.chunk_slots * ((2 * (2 + 2 + 1)) + 2)
+let table_and_c = (big_capacity / P.chunk_slots) + 512
+let words p = Obj.reachable_words (Obj.repr p)
+
+let test_untouched_pool_is_small () =
+  let p = mk ~capacity:big_capacity () in
+  let w = words p in
+  Alcotest.(check bool)
+    (Printf.sprintf "untouched 1M-slot pool: %d words <= %d" w
+       (chunk_words + table_and_c))
+    true
+    (w <= chunk_words + table_and_c);
+  Alcotest.(check int) "one chunk materialised" P.chunk_slots
+    (P.class_stats p 0).P.k_materialized
+
+let test_memory_follows_allocs () =
+  let p = mk ~capacity:big_capacity () in
+  List.iter
+    (fun k ->
+      let have = (P.stats p).P.s_allocs in
+      for _ = have + 1 to k do
+        ignore (P.alloc p)
+      done;
+      let chunks = (k + P.chunk_slots - 1) / P.chunk_slots in
+      let bound = ((chunks + 1) * chunk_words) + table_and_c in
+      let w = words p in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d allocs: %d words <= %d" k w bound)
+        true (w <= bound);
+      Alcotest.(check int)
+        (Printf.sprintf "%d allocs: materialised slots" k)
+        (chunks * P.chunk_slots)
+        (P.class_stats p 0).P.k_materialized)
+    [ 1; 1000; 3000; 10_000 ]
+
+(* A handle into a chunk that was never materialised names no record: it
+   is never valid, validated reads refuse it, [free] raises, and a peek
+   lands on existing memory without faulting or materialising
+   anything.  Offset 7 of chunk 0 holds generation 0 as well, so the
+   handle is only invalid because of its chunk. *)
+let test_unmaterialised_handle () =
+  let p = mk ~capacity:big_capacity () in
+  ignore (P.alloc p);
+  let h = H.pack ~cls:0 ~index:((5 * P.chunk_slots) + 7) ~gen:0 in
+  Alcotest.(check bool) "never valid" false (P.valid p h);
+  Alcotest.(check bool) "chunk 0 twin is fresh" true
+    (P.seqno p (H.pack ~cls:0 ~index:7 ~gen:0) = 0);
+  let stale = function P.Stale _ -> true | P.Value _ -> false in
+  Alcotest.(check bool) "read_data is Stale" true (stale (P.read_data p h 0));
+  Alcotest.(check bool) "read_data_sync is Stale" true
+    (stale (P.read_data_sync p h 1));
+  Alcotest.(check bool) "read_ptr is Stale" true (stale (P.read_ptr p h 0));
+  Alcotest.(check bool) "state is Free" true (P.state p h = P.Free);
+  Alcotest.check_raises "free raises"
+    (Invalid_argument
+       (Printf.sprintf "Pool.free: stale or double free of handle %d" h))
+    (fun () -> P.free p h);
+  let before = words p in
+  ignore (P.get_data p h 0);
+  ignore (P.get_ptr p h 1);
+  Alcotest.(check int) "peeks do not grow the pool" before (words p);
+  Alcotest.(check int) "nothing materialised" P.chunk_slots
+    (P.class_stats p 0).P.k_materialized
+
+(* Side cells: registered before the first alloc, one per slot in every
+   class, 0 on a fresh slot, and kept across frees (slot semantics). *)
+let test_side_cells () =
+  let p = classed () in
+  let s0 = P.add_side p in
+  let s1 = P.add_side p in
+  Alcotest.(check (list int)) "numbered in order" [ 0; 1 ] [ s0; s1 ];
+  let a = P.alloc p and b = P.alloc ~cls:2 p in
+  Alcotest.(check int) "fresh side cell is 0" 0 (Sim.load (P.side_cell p a s1));
+  Sim.store (P.side_cell p a s0) 11;
+  Sim.store (P.side_cell p a s1) 12;
+  Sim.store (P.side_cell p b s1) 21;
+  P.set_data p a 0 5;
+  Alcotest.(check int) "data field untouched" 5 (P.get_data p a 0);
+  Alcotest.(check int) "lock untouched" 0 (Sim.load (P.lock_cell p a));
+  Alcotest.(check (list int)) "cells distinct" [ 11; 12; 21 ]
+    (List.map Sim.load
+       [ P.side_cell p a s0; P.side_cell p a s1; P.side_cell p b s1 ]);
+  P.free p a;
+  Alcotest.(check int) "survives the free" 12 (Sim.load (P.side_cell p a s1));
+  Alcotest.check_raises "registration after the first alloc"
+    (Invalid_argument "Pool.add_side: the pool has already allocated")
+    (fun () -> ignore (P.add_side p))
 
 (* Property: under any alloc/free trace, the pool never hands out a slot
    that is currently live, and in_use always equals |allocated \ freed|. *)
@@ -255,5 +354,12 @@ let suite =
     Alcotest.test_case "depot exchange round-trip" `Quick
       test_depot_exchange_roundtrip;
     Alcotest.test_case "sim slot layout is flat" `Quick test_sim_slot_layout;
+    Alcotest.test_case "untouched pool costs one chunk" `Quick
+      test_untouched_pool_is_small;
+    Alcotest.test_case "memory follows allocations" `Quick
+      test_memory_follows_allocs;
+    Alcotest.test_case "handle into an unmaterialised chunk" `Quick
+      test_unmaterialised_handle;
+    Alcotest.test_case "per-slot side cells" `Quick test_side_cells;
     QCheck_alcotest.to_alcotest prop_alloc_free_trace;
   ]
