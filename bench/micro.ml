@@ -1,6 +1,6 @@
 (* Hot-path microbenchmark driver: the perf-tracking substrate.
 
-   Where bench/main.exe reproduces the paper's figures, this executable
+   Where [nbr_bench figure] reproduces the paper's figures, this executable
    tracks the *repository's own* hot paths over time, so regressions are
    visible in CI and improvements land as numbers, not adjectives.  It
    measures, per runtime (native wall-clock ns / sim virtual ns):
@@ -231,18 +231,17 @@ module KvBench (Rt : Nbr_runtime.Runtime_intf.S) = struct
          ~traffic ())
 end
 
-module N = RtBench (Nbr_runtime.Native_rt)
-module S = RtBench (Nbr_runtime.Sim_rt)
-module KV_nat = KvBench (Nbr_runtime.Native_rt)
-module KV_sim = KvBench (Nbr_runtime.Sim_rt)
-module H_nat = Nbr_workload.Harness.Make (Nbr_runtime.Native_rt)
-module H_sim = Nbr_workload.Harness.Make (Nbr_runtime.Sim_rt)
-
 (* ------------------------------------------------------------------ *)
 (* Result accumulation and JSON.                                       *)
 
 let results : (string * float) list ref = ref []
 let record k v = results := (k, v) :: !results
+
+(* Record one entry and echo it to the console, so the numbers are
+   visible in CI logs without opening the JSON. *)
+let report k v what =
+  record k v;
+  Printf.printf "  %-19s %8.1f %s\n%!" k v what
 
 (* latency_<op>_{p50,p99}_ns entries (restart counts are unitless) from a
    [record_latency] trial, plus console lines so the numbers are visible
@@ -436,6 +435,162 @@ let check ~baseline ~against ~max_ratio =
   if !failures > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
+(* Per-runtime profiles: what differs between the native and sim runs. *)
+
+type profile = {
+  runtime : string;  (** names the output file, BENCH_<runtime>.json *)
+  clock : string;  (** what a reported ns is, for the console header *)
+  mt : int;  (** thread count of every multi-thread bench *)
+  it_1t : int;  (** iterations: read_path_1t *)
+  it_mt : int;  (** read_path_mt *)
+  it_sig : int;  (** signal_all *)
+  it_af : int;  (** alloc_free, alloc_free/cls *)
+  it_af_mt : int;  (** alloc_free_mt *)
+  wall_ns : int option;
+      (** duration of the runner-level wall-clock trials; [None] skips
+          them (they only mean something on real domains) *)
+  lat_ns : int;  (** duration of the latency trial *)
+  tail_ns : int;  (** and of the reclaim-tail pair *)
+  kv_ns : int;  (** duration of both serving-layer runs *)
+  kv_rate_rps : int;  (** guarded flash-crowd run: per-worker rate *)
+  kv_deadline_ns : int;  (** and per-request deadline *)
+}
+
+let native_profile quick =
+  let q a b = if quick then a else b in
+  {
+    runtime = "native";
+    clock = "wall-clock ns";
+    mt = 4;
+    it_1t = q 20_000 200_000;
+    it_mt = q 4_000 40_000;
+    it_sig = q 2_000 20_000;
+    it_af = q 50_000 500_000;
+    it_af_mt = q 50_000 500_000;
+    wall_ns = Some (q 100_000_000 500_000_000);
+    lat_ns = q 50_000_000 200_000_000;
+    tail_ns = q 50_000_000 200_000_000;
+    (* Same duration in quick mode: the run is 100ms of wall time, and a
+       shorter one over-weights warmup, skewing quick CI runs against
+       the committed standard-mode baseline. *)
+    kv_ns = 100_000_000;
+    kv_rate_rps = 10_000;
+    kv_deadline_ns = 50_000_000;
+  }
+
+(* Virtual-time results are deterministic; iteration counts only bound
+   the wall cost of running the simulation itself. *)
+let sim_profile quick =
+  let q a b = if quick then a else b in
+  {
+    runtime = "sim";
+    clock = "virtual ns, deterministic";
+    mt = 8;
+    it_1t = q 300 2_000;
+    it_mt = q 100 500;
+    it_sig = q 100 500;
+    it_af = q 2_000 20_000;
+    it_af_mt = q 500 5_000;
+    wall_ns = None;
+    lat_ns = 2_000_000;
+    tail_ns = 3_000_000;
+    kv_ns = 1_000_000;
+    kv_rate_rps = 4_000_000;
+    kv_deadline_ns = 100_000;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* One suite, run per runtime.                                         *)
+
+module Bench (Rt : Nbr_runtime.Runtime_intf.S) = struct
+  include RtBench (Rt)
+  module KV = KvBench (Rt)
+  module H = Nbr_workload.Harness.Make (Rt)
+
+  (* The whole suite for this runtime, written to BENCH_<runtime>.json.
+     [alloc_only] keeps just the allocator benches; [wall] lets the
+     profile's wall-clock trials run. *)
+  let bench ~alloc_only ~wall ~mode ~out_dir p =
+    results := [];
+    Printf.printf "# %s runtime (%s, %s)\n%!" p.runtime p.clock mode;
+    if not alloc_only then begin
+      List.iter
+        (fun (name, m) ->
+          report ("read_path_1t/" ^ name) (m ~nthreads:1 ~iters:p.it_1t) "ns/op")
+        read_paths;
+      List.iter
+        (fun (name, m) ->
+          report ("read_path_mt/" ^ name)
+            (m ~nthreads:p.mt ~iters:p.it_mt)
+            (Printf.sprintf "ns/op (t%d)" p.mt))
+        read_paths;
+      report
+        (Printf.sprintf "signal_all/n%d" p.mt)
+        (signal_all_ns ~nthreads:p.mt ~iters:p.it_sig)
+        "ns/broadcast"
+    end;
+    report "alloc_free" (alloc_free_ns ~iters:p.it_af) "ns/pair";
+    report
+      (Printf.sprintf "alloc_free_mt/t%d" p.mt)
+      (alloc_free_mt_ns ~nthreads:p.mt ~iters:p.it_af_mt)
+      "ns/pair";
+    List.iter
+      (fun cls ->
+        report
+          (Printf.sprintf "alloc_free/cls%d" cls)
+          (alloc_free_cls_ns ~cls ~iters:p.it_af)
+          "ns/pair")
+      [ 0; 1 ];
+    (match p.wall_ns with
+    | Some dur when wall && not alloc_only ->
+        (* Runner-level wall-clock trials: the whole harness on real
+           domains.  Mops/s (higher is better) — reported, not
+           regression-gated. *)
+        List.iter
+          (fun (scheme, structure) ->
+            let cfg =
+              T.Cfg.make ~nthreads:p.mt ~duration_ns:dur ~key_range:256
+                ~seed:7 ~smr:smr_cfg ()
+            in
+            let r = H.run ~scheme ~structure cfg in
+            let k =
+              Printf.sprintf "trial_mops/%s/%s/t%d" structure scheme p.mt
+            in
+            record k r.T.throughput_mops;
+            record
+              (Printf.sprintf "trial_uaf/%s/%s/t%d" structure scheme p.mt)
+              (float_of_int r.T.uaf_reads);
+            Printf.printf "  %-28s %8.3f Mops/s (uaf=%d)\n%!" k
+              r.T.throughput_mops r.T.uaf_reads)
+          [ ("nbr", "lazy-list"); ("nbr+", "dgt-tree"); ("ibr", "lazy-list") ]
+    | _ -> ());
+    if not alloc_only then begin
+      (* Latency quantiles: one short harness trial with per-operation
+         histograms on.  Cheap enough to run even in --quick/--no-wall. *)
+      record_latency_entries
+        (H.run ~scheme:"nbr" ~structure:"lazy-list"
+           (T.Cfg.make ~nthreads:p.mt ~duration_ns:p.lat_ns ~key_range:256
+              ~seed:7 ~smr:smr_cfg ~record_latency:true ()));
+      (* Retire-heavy tail pair: inline vs background reclaimer. *)
+      record_reclaim_tail (fun reclaim ->
+          H.run ~scheme:"nbr+" ~structure:"harris-list"
+            (T.Cfg.make ~nthreads:p.mt ~duration_ns:p.tail_ns ~key_range:128
+               ~ins_pct:50 ~del_pct:50 ~seed:7
+               ~smr:(Nbr_core.Smr_config.with_threshold smr_cfg 64)
+               ?reclaim ~record_latency:true ()));
+      record_kv (KV.run ~duration_ns:p.kv_ns);
+      record_kv_slo
+        (KV.run_slo ~duration_ns:p.kv_ns ~rate_rps:p.kv_rate_rps
+           ~deadline_ns:p.kv_deadline_ns)
+    end;
+    write_json ~runtime:p.runtime ~mode
+      ~path:(Filename.concat out_dir ("BENCH_" ^ p.runtime ^ ".json"))
+end
+
+module N = Bench (Nbr_runtime.Native_rt)
+module S = Bench (Nbr_runtime.Sim_rt)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -463,177 +618,18 @@ let () =
      when iterating on lib/pool; also how the pre/post rewrite numbers in
      EXPERIMENTS.md were captured). *)
   let alloc_only = has "--alloc-only" in
-  let runtime = value "--runtime" "both" in
+  let wall = not (has "--no-wall") in
   let out_dir = value "--out-dir" "." in
   let mode = if quick then "quick" else "standard" in
-  let mt_native = 4 in
-  let mt_sim = 8 in
-
-  let bench_native () =
-    results := [];
-    let it_1t = if quick then 20_000 else 200_000 in
-    let it_mt = if quick then 4_000 else 40_000 in
-    let it_sig = if quick then 2_000 else 20_000 in
-    let it_af = if quick then 50_000 else 500_000 in
-    Printf.printf "# native runtime (wall-clock ns, %s)\n%!" mode;
-    if not alloc_only then begin
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:1 ~iters:it_1t in
-          record (Printf.sprintf "read_path_1t/%s" name) v;
-          Printf.printf "  read_path_1t/%-6s %8.1f ns/op\n%!" name v)
-        N.read_paths;
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:mt_native ~iters:it_mt in
-          record (Printf.sprintf "read_path_mt/%s" name) v;
-          Printf.printf "  read_path_mt/%-6s %8.1f ns/op (t%d)\n%!" name v
-            mt_native)
-        N.read_paths;
-      let v = N.signal_all_ns ~nthreads:mt_native ~iters:it_sig in
-      record (Printf.sprintf "signal_all/n%d" mt_native) v;
-      Printf.printf "  signal_all/n%d      %8.1f ns/broadcast\n%!" mt_native v
-    end;
-    let v = N.alloc_free_ns ~iters:it_af in
-    record "alloc_free" v;
-    Printf.printf "  alloc_free          %8.1f ns/pair\n%!" v;
-    let v = N.alloc_free_mt_ns ~nthreads:mt_native ~iters:it_af in
-    record (Printf.sprintf "alloc_free_mt/t%d" mt_native) v;
-    Printf.printf "  alloc_free_mt/t%d    %8.1f ns/pair\n%!" mt_native v;
-    List.iter
-      (fun cls ->
-        let v = N.alloc_free_cls_ns ~cls ~iters:it_af in
-        record (Printf.sprintf "alloc_free/cls%d" cls) v;
-        Printf.printf "  alloc_free/cls%d     %8.1f ns/pair\n%!" cls v)
-      [ 0; 1 ];
-    if (not (has "--no-wall")) && not alloc_only then begin
-      (* Runner-level wall-clock trials: the whole harness on real domains.
-         Mops/s (higher is better) — reported, not regression-gated. *)
-      let dur = if quick then 100_000_000 else 500_000_000 in
-      List.iter
-        (fun (scheme, structure) ->
-          let cfg =
-            T.Cfg.make ~nthreads:mt_native ~duration_ns:dur ~key_range:256 ~seed:7
-              ~smr:N.smr_cfg ()
-          in
-          let r = H_nat.run ~scheme ~structure cfg in
-          let k =
-            Printf.sprintf "trial_mops/%s/%s/t%d" structure scheme mt_native
-          in
-          record k r.T.throughput_mops;
-          record
-            (Printf.sprintf "trial_uaf/%s/%s/t%d" structure scheme mt_native)
-            (float_of_int r.T.uaf_reads);
-          Printf.printf "  %-28s %8.3f Mops/s (uaf=%d)\n%!" k
-            r.T.throughput_mops r.T.uaf_reads)
-        [ ("nbr", "lazy-list"); ("nbr+", "dgt-tree"); ("ibr", "lazy-list") ]
-    end;
-    if not alloc_only then begin
-      (* Latency quantiles: one short harness trial with per-operation
-         histograms on.  Cheap enough to run even in --quick/--no-wall. *)
-      let lat_cfg =
-        T.Cfg.make ~nthreads:mt_native
-          ~duration_ns:(if quick then 50_000_000 else 200_000_000)
-          ~key_range:256 ~seed:7 ~smr:N.smr_cfg ~record_latency:true ()
-      in
-      let r = H_nat.run ~scheme:"nbr" ~structure:"lazy-list" lat_cfg in
-      record_latency_entries r;
-      (* Retire-heavy tail pair: inline vs background reclaimer. *)
-      record_reclaim_tail (fun reclaim ->
-          let cfg =
-            T.Cfg.make ~nthreads:mt_native
-              ~duration_ns:(if quick then 50_000_000 else 200_000_000)
-              ~key_range:128 ~ins_pct:50 ~del_pct:50 ~seed:7
-              ~smr:(Nbr_core.Smr_config.with_threshold N.smr_cfg 64)
-              ?reclaim ~record_latency:true ()
-          in
-          H_nat.run ~scheme:"nbr+" ~structure:"harris-list" cfg)
-    end;
-    (* Same duration in quick mode: the run is 100ms of wall time, and a
-       shorter one over-weights warmup, skewing quick CI runs against
-       the committed standard-mode baseline. *)
-    if not alloc_only then record_kv (KV_nat.run ~duration_ns:100_000_000);
-    if not alloc_only then
-      record_kv_slo
-        (KV_nat.run_slo ~duration_ns:100_000_000 ~rate_rps:10_000
-           ~deadline_ns:50_000_000);
-    write_json ~runtime:"native" ~mode
-      ~path:(Filename.concat out_dir "BENCH_native.json")
-  in
-
-  let bench_sim () =
-    results := [];
-    (* Virtual-time results are deterministic; iteration counts only bound
-       the wall cost of running the simulation itself. *)
-    let it_1t = if quick then 300 else 2_000 in
-    let it_mt = if quick then 100 else 500 in
-    let it_sig = if quick then 100 else 500 in
-    let it_af = if quick then 2_000 else 20_000 in
-    Printf.printf "# sim runtime (virtual ns, deterministic, %s)\n%!" mode;
-    if not alloc_only then begin
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:1 ~iters:it_1t in
-          record (Printf.sprintf "read_path_1t/%s" name) v;
-          Printf.printf "  read_path_1t/%-6s %8.1f ns/op\n%!" name v)
-        S.read_paths;
-      List.iter
-        (fun (name, m) ->
-          let v = m ~nthreads:mt_sim ~iters:it_mt in
-          record (Printf.sprintf "read_path_mt/%s" name) v;
-          Printf.printf "  read_path_mt/%-6s %8.1f ns/op (t%d)\n%!" name v
-            mt_sim)
-        S.read_paths;
-      let v = S.signal_all_ns ~nthreads:mt_sim ~iters:it_sig in
-      record (Printf.sprintf "signal_all/n%d" mt_sim) v;
-      Printf.printf "  signal_all/n%d      %8.1f ns/broadcast\n%!" mt_sim v
-    end;
-    let v = S.alloc_free_ns ~iters:it_af in
-    record "alloc_free" v;
-    Printf.printf "  alloc_free          %8.1f ns/pair\n%!" v;
-    let v = S.alloc_free_mt_ns ~nthreads:mt_sim ~iters:(it_af / 4) in
-    record (Printf.sprintf "alloc_free_mt/t%d" mt_sim) v;
-    Printf.printf "  alloc_free_mt/t%d    %8.1f ns/pair\n%!" mt_sim v;
-    List.iter
-      (fun cls ->
-        let v = S.alloc_free_cls_ns ~cls ~iters:it_af in
-        record (Printf.sprintf "alloc_free/cls%d" cls) v;
-        Printf.printf "  alloc_free/cls%d     %8.1f ns/pair\n%!" cls v)
-      [ 0; 1 ];
-    if not alloc_only then begin
-      (* Deterministic virtual-time latency quantiles. *)
-      let lat_cfg =
-        T.Cfg.make ~nthreads:mt_sim ~duration_ns:2_000_000 ~key_range:256 ~seed:7
-          ~smr:S.smr_cfg ~record_latency:true ()
-      in
-      let r = H_sim.run ~scheme:"nbr" ~structure:"lazy-list" lat_cfg in
-      record_latency_entries r;
-      (* Retire-heavy tail pair: inline vs background reclaimer
-         (deterministic in virtual time). *)
-      record_reclaim_tail (fun reclaim ->
-          let cfg =
-            T.Cfg.make ~nthreads:mt_sim ~duration_ns:3_000_000 ~key_range:128
-              ~ins_pct:50 ~del_pct:50 ~seed:7
-              ~smr:(Nbr_core.Smr_config.with_threshold S.smr_cfg 64)
-              ?reclaim ~record_latency:true ()
-          in
-          H_sim.run ~scheme:"nbr+" ~structure:"harris-list" cfg)
-    end;
-    if not alloc_only then record_kv (KV_sim.run ~duration_ns:1_000_000);
-    if not alloc_only then
-      record_kv_slo
-        (KV_sim.run_slo ~duration_ns:1_000_000 ~rate_rps:4_000_000
-           ~deadline_ns:100_000);
-    write_json ~runtime:"sim" ~mode
-      ~path:(Filename.concat out_dir "BENCH_sim.json")
-  in
-
-  (match runtime with
-  | "native" -> bench_native ()
-  | "sim" -> bench_sim ()
+  let native () =
+    N.bench ~alloc_only ~wall ~mode ~out_dir (native_profile quick)
+  and sim () = S.bench ~alloc_only ~wall ~mode ~out_dir (sim_profile quick) in
+  (match value "--runtime" "both" with
+  | "native" -> native ()
+  | "sim" -> sim ()
   | "both" ->
-      bench_native ();
-      bench_sim ()
+      native ();
+      sim ()
   | r ->
       Printf.printf "error: unknown --runtime %s\n" r;
       exit 2);
@@ -641,7 +637,7 @@ let () =
   (* --trace-out FILE: one traced deterministic sim trial, exported as
      Chrome trace-event JSON.  Runs after the benchmarks so tracing never
      contaminates the numbers above. *)
-  (match value "--trace-out" "" with
+  match value "--trace-out" "" with
   | "" -> ()
   | path ->
       Nbr_obs.Trace.enable ~nthreads:4 ();
@@ -650,12 +646,9 @@ let () =
           ~smr:(Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 64)
           ()
       in
-      let r = H_sim.run ~scheme:"nbr+" ~structure:"lazy-list" cfg in
-      let events = List.length (Nbr_obs.Trace.events ()) in
-      let oc = open_out path in
-      output_string oc (Nbr_obs.Trace.to_chrome_json ());
-      close_out oc;
+      let r = S.H.run ~scheme:"nbr+" ~structure:"lazy-list" cfg in
       Nbr_obs.Trace.disable ();
+      let events, dropped = Nbr_obs.Trace.write_chrome_json path in
       Printf.printf
         "wrote %s (%d events, %d dropped; traced trial: %.3f Mops/s)\n%!"
-        path events (Nbr_obs.Trace.dropped ()) r.T.throughput_mops)
+        path events dropped r.T.throughput_mops

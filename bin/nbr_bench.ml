@@ -3,7 +3,8 @@
    Run single experiments or ad-hoc trials with tunable parameters:
 
      nbr_bench list
-     nbr_bench figure fig3a --quick
+     nbr_bench figure fig3a,fig4c --quick
+     nbr_bench figure all
      nbr_bench trial --scheme nbr+ --structure dgt-tree --threads 32 \
        --range 65536 --ins 50 --del 50 --duration-ms 2 --cores 16
      nbr_bench trial --runtime native --scheme debra --structure lazy-list \
@@ -33,27 +34,63 @@ let list_cmd =
 (* ---------------- figure ---------------- *)
 
 let figure_cmd =
-  let id_arg =
+  let ids_arg =
     Arg.(
       required
-      & pos 0 (some string) None
-      & info [] ~docv:"ID" ~doc:"Experiment id (see $(b,list)).")
+      & pos 0 (some (list string)) None
+      & info [] ~docv:"ID[,ID...]"
+          ~doc:"Experiment ids (see $(b,list)), or $(b,all).")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller, faster profile.")
   in
-  let run id quick =
-    match List.find_opt (fun (i, _, _) -> i = id) E.all with
-    | None ->
-        Printf.eprintf "unknown experiment %s (try `nbr_bench list')\n" id;
-        exit 2
-    | Some (_, descr, f) ->
-        Printf.printf "=== %s: %s ===\n%!" id descr;
-        f quick;
-        if not (E.summary ()) then exit 1
+  let run ids quick =
+    let known id = List.exists (fun (i, _, _) -> i = id) E.all in
+    (match List.filter (fun id -> id <> "all" && not (known id)) ids with
+    | [] -> ()
+    | bad ->
+        Printf.eprintf "unknown experiment %s (known: all, %s)\n"
+          (String.concat ", " bad)
+          (String.concat ", " (List.map (fun (i, _, _) -> i) E.all));
+        exit 2);
+    let selected =
+      if List.mem "all" ids then E.all
+      else List.filter (fun (id, _, _) -> List.mem id ids) E.all
+    in
+    Printf.printf
+      "# NBR reproduction benchmarks (%s profile)\n\
+       # Simulated 16-core machine; throughput in simulated Mops/s.\n\
+       # Shapes (ordering, crossovers, bounded-vs-unbounded memory) are what \
+       reproduce\n\
+       # the paper; absolute numbers do not — see DESIGN.md / EXPERIMENTS.md.\n\
+       %!"
+      (if quick then "quick" else "standard");
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun (id, descr, run) ->
+        Printf.printf "\n=== %s: %s ===\n%!" id descr;
+        let t = Unix.gettimeofday () in
+        (match run quick with
+        | () -> ()
+        | exception Nbr_pool.Pool.Exhausted x ->
+            (* An undersized pool (or the leaky scheme running long enough)
+               is a diagnosable configuration problem, not a crash: report
+               it and let the remaining experiments run. *)
+            Format.printf "[%s ABORTED] %a@." id Nbr_pool.Pool.pp_exhausted x;
+            E.note_failure
+              (Printf.sprintf "%s: pool exhausted (capacity %d)" id
+                 x.Nbr_pool.Pool.x_capacity));
+        Printf.printf "[%s done in %.1fs]\n%!" id (Unix.gettimeofday () -. t))
+      selected;
+    let ok = E.summary () in
+    Printf.printf "[total %.1fs]\n%!" (Unix.gettimeofday () -. t0);
+    if not ok then exit 1
   in
-  let doc = "Regenerate one paper figure/table." in
-  Cmd.v (Cmd.info "figure" ~doc) Term.(const run $ id_arg $ quick_arg)
+  let doc =
+    "Regenerate paper figures/tables, in $(b,list) order; exits 1 on any \
+     validation failure."
+  in
+  Cmd.v (Cmd.info "figure" ~doc) Term.(const run $ ids_arg $ quick_arg)
 
 (* ---------------- trial ---------------- *)
 
@@ -63,15 +100,20 @@ let trial_cmd =
       value
       & opt string "nbr+"
       & info [ "scheme" ] ~docv:"S"
-          ~doc:"Reclamation scheme: nbr, nbr+, debra, qsbr, rcu, ibr, hp, \
-                none.")
+          ~doc:
+            ("Reclamation scheme: "
+            ^ String.concat ", " Nbr_workload.Registry.scheme_names
+            ^ "."))
   in
   let structure =
     Arg.(
       value
       & opt string "dgt-tree"
       & info [ "structure" ] ~docv:"D"
-          ~doc:"Data structure: lazy-list, dgt-tree, harris-list, ab-tree.")
+          ~doc:
+            ("Data structure: "
+            ^ String.concat ", " Nbr_workload.Registry.structure_names
+            ^ "."))
   in
   let runtime =
     Arg.(
@@ -162,28 +204,16 @@ let trial_cmd =
       ins del duration_ms threshold seed stall_ms chaos churn trace_out
       reclaim pressure_chaos =
     let duration_ns = duration_ms * 1_000_000 in
+    if not (Nbr_workload.Registry.supported ~scheme ~structure) then
+      invalid_arg
+        (Printf.sprintf
+           "%s cannot run %s safely: its protection cannot cover \
+            traversals through unlinked records (paper P5)"
+           scheme structure);
     let reclaim =
-      let parse = function
-        | "none" -> None
-        | "pressure" -> Some Nbr_reclaim.Reclaimer.On_pressure
-        | s -> (
-            match String.index_opt s ':' with
-            | Some i -> (
-                let k = String.sub s 0 i
-                and v = String.sub s (i + 1) (String.length s - i - 1) in
-                match (k, int_of_string_opt v) with
-                | "periodic", Some ns when ns > 0 ->
-                    Some (Nbr_reclaim.Reclaimer.Periodic { interval_ns = ns })
-                | "after", Some n when n > 0 ->
-                    Some (Nbr_reclaim.Reclaimer.After_n_retires { n })
-                | _ ->
-                    Printf.eprintf "bad --reclaim policy %s\n" s;
-                    exit 2)
-            | None ->
-                Printf.eprintf "bad --reclaim policy %s\n" s;
-                exit 2)
-      in
-      match (parse reclaim, pressure_chaos) with
+      match
+        (Nbr_reclaim.Reclaimer.policy_of_string reclaim, pressure_chaos)
+      with
       | None, true -> Some Nbr_reclaim.Reclaimer.On_pressure
       | p, _ -> p
     in
@@ -243,13 +273,9 @@ let trial_cmd =
     (match trace_out with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Nbr_obs.Trace.to_chrome_json ());
-        close_out oc;
-        Printf.printf "trace: %d events -> %s (%d dropped)\n"
-          (List.length (Nbr_obs.Trace.events ()))
-          file
-          (Nbr_obs.Trace.dropped ());
+        let events, dropped = Nbr_obs.Trace.write_chrome_json file in
+        Printf.printf "trace: %d events -> %s (%d dropped)\n" events file
+          dropped;
         Nbr_obs.Trace.clear ());
     Format.printf "%a@." T.pp_row r;
     Format.printf

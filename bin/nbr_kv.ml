@@ -312,27 +312,10 @@ let () =
           exit 2
     in
     let reclaim =
-      let parse = function
-        | "none" -> None
-        | "pressure" -> Some Nbr.Reclaim.On_pressure
-        | s -> (
-            match String.index_opt s ':' with
-            | Some i -> (
-                let k = String.sub s 0 i
-                and v = String.sub s (i + 1) (String.length s - i - 1) in
-                match (k, int_of_string_opt v) with
-                | "periodic", Some ns when ns > 0 ->
-                    Some (Nbr.Reclaim.Periodic { interval_ns = ns })
-                | "after", Some n when n > 0 ->
-                    Some (Nbr.Reclaim.After_n_retires { n })
-                | _ ->
-                    Printf.eprintf "bad --reclaim policy %s\n" s;
-                    exit 2)
-            | None ->
-                Printf.eprintf "bad --reclaim policy %s\n" s;
-                exit 2)
-      in
-      match (parse reclaim, pressure_chaos || shard_pressure <> None) with
+      match
+        ( Nbr.Reclaim.policy_of_string reclaim,
+          pressure_chaos || shard_pressure <> None )
+      with
       | None, true -> Some Nbr.Reclaim.On_pressure
       | p, _ -> p
     in
@@ -441,13 +424,9 @@ let () =
     (match trace_out with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Nbr.Obs.Trace.to_chrome_json ());
-        close_out oc;
-        Printf.printf "trace: %d events -> %s (%d dropped)\n"
-          (List.length (Nbr.Obs.Trace.events ()))
-          file
-          (Nbr.Obs.Trace.dropped ());
+        let events, dropped = Nbr.Obs.Trace.write_chrome_json file in
+        Printf.printf "trace: %d events -> %s (%d dropped)\n" events file
+          dropped;
         Nbr.Obs.Trace.clear ());
     if !failed then exit 1
   in

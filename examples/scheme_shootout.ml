@@ -47,9 +47,7 @@ let () =
         Printf.printf "%-8s %12.2f %10d %10d %10d %10s\n" scheme
           r.T.throughput_mops r.T.peak_unreclaimed r.T.signals
           (Nbr.Scheme.Stats.restarts r.T.smr_stats)
-          (match scheme with
-          | "nbr" | "nbr+" | "ibr" | "hp" | "he" -> "yes"
-          | "none" -> "leaks!"
-          | _ -> "no")
+          (if Nbr.Workload.Registry.bounded_garbage scheme then "yes"
+           else "no")
       end)
-    [ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "hp"; "he"; "none" ]
+    Nbr.Workload.Registry.scheme_names

@@ -315,7 +315,7 @@ let to_text () =
    in Perfetto / chrome://tracing.  Every event is an instant event
    ([ph:"i"], thread scope); [ts] is microseconds as a float, which keeps
    ns resolution for any plausible trial length. *)
-let to_chrome_json () =
+let chrome_json evs =
   let b = Buffer.create 16384 in
   Buffer.add_string b "{\"traceEvents\":[";
   let first = ref true in
@@ -328,6 +328,16 @@ let to_chrome_json () =
            (kind_name e.e_kind)
            (float_of_int e.e_ns /. 1000.0)
            e.e_tid e.e_a e.e_b))
-    (events ());
+    evs;
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ns\"}\n";
   Buffer.contents b
+
+let to_chrome_json () = chrome_json (events ())
+
+let write_chrome_json path =
+  let evs = events () in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (chrome_json evs));
+  (List.length evs, dropped ())

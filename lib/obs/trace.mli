@@ -182,3 +182,8 @@ val to_chrome_json : unit -> string
 (** The merged timeline as Chrome trace-event JSON (instant events,
     [ts] in microseconds) — load the file in Perfetto or
     chrome://tracing. *)
+
+val write_chrome_json : string -> int * int
+(** [write_chrome_json path] writes {!to_chrome_json} to [path] and
+    returns [(events written, events dropped)] — what a driver's
+    [--trace-out] reports. *)

@@ -41,6 +41,29 @@ let pp_policy ppf = function
   | After_n_retires { n } -> Format.fprintf ppf "after(%d)" n
   | On_pressure -> Format.fprintf ppf "on-pressure"
 
+let policy_of_string s =
+  let bad () =
+    invalid_arg
+      (Printf.sprintf
+         "bad reclaim policy %S (expected none, pressure, periodic:N or \
+          after:N with N > 0)"
+         s)
+  in
+  match s with
+  | "none" -> None
+  | "pressure" -> Some On_pressure
+  | _ -> (
+      match String.index_opt s ':' with
+      | None -> bad ()
+      | Some i -> (
+          let k = String.sub s 0 i
+          and v = String.sub s (i + 1) (String.length s - i - 1) in
+          match (k, int_of_string_opt v) with
+          | "periodic", Some ns when ns > 0 ->
+              Some (Periodic { interval_ns = ns })
+          | "after", Some n when n > 0 -> Some (After_n_retires { n })
+          | _ -> bad ()))
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S

@@ -16,6 +16,12 @@ type policy =
 
 val pp_policy : Format.formatter -> policy -> unit
 
+val policy_of_string : string -> policy option
+(** The command-line spelling of a reclaimer choice: [none] (inline
+    reclamation, [None]), [pressure], [periodic:N] (sweep every N ns) or
+    [after:N] (sweep every N collected retires), with N > 0.  Raises
+    [Invalid_argument] naming the accepted forms on anything else. *)
+
 module Make
     (Rt : Nbr_runtime.Runtime_intf.S)
     (Smr : Nbr_core.Smr_intf.S

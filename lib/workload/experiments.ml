@@ -27,6 +27,7 @@ let std_profile =
 let quick_profile =
   { duration_ns = 500_000; threads = [ 4; 16; 32 ]; seeds = [ 1 ] }
 
+let profile quick = if quick then quick_profile else std_profile
 let sim_cores = 16
 
 let base_sim_config =
@@ -43,9 +44,37 @@ let base_sim_config =
        bursts land inside the measurement window. *);
   }
 
-(* The scheme lineups of the paper's figures. *)
+(* The scheme lineups of the figures, in display order.  Every name must
+   be a {!Registry} scheme, and the chaos and churn sweeps must cover
+   every sound scheme (test/test_registry.ml checks both). *)
 let e1_schemes = [ "nbr+"; "debra"; "qsbr"; "rcu"; "ibr"; "hp"; "none" ]
+let e2_schemes = [ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "hp" ]
 let e3_schemes = [ "nbr+"; "nbr"; "debra"; "none" ]
+
+let chaos_schemes =
+  [ "nbr+"; "nbr"; "ibr"; "hp"; "he"; "debra"; "qsbr"; "rcu"; "none" ]
+
+let churn_schemes = chaos_schemes
+
+(* No ibr: hash-set buckets are Harris lists, whose mark-tagged traversal
+   era protection cannot cover (see Registry.unsupported). *)
+let hash_set_schemes = [ "nbr+"; "nbr"; "debra"; "qsbr"; "none" ]
+let skip_list_schemes = [ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "none" ]
+let era_schemes = [ "nbr+"; "hp"; "he"; "ibr" ]
+let signal_schemes = [ "nbr"; "nbr+" ]
+
+let lineups =
+  [
+    ("e1", e1_schemes);
+    ("e2", e2_schemes);
+    ("e3", e3_schemes);
+    ("chaos", chaos_schemes);
+    ("churn", churn_schemes);
+    ("ext hash-set", hash_set_schemes);
+    ("ext skip-list", skip_list_schemes);
+    ("ext eras", era_schemes);
+    ("a1", signal_schemes);
+  ]
 
 (* The three workload profiles of §7. *)
 let workloads = [ ("50i-50d", 50, 50); ("25i-25d", 25, 25); ("5i-5d", 5, 5) ]
@@ -59,185 +88,219 @@ let note_failure msg =
   incr failures;
   Format.printf "VALIDATION FAILURE: %s@." msg
 
+let smr threshold =
+  Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default threshold
+
+(* Count one trial towards the validation gate; report it if invalid. *)
+let gate r =
+  incr validated;
+  if not (Trial.valid r) then begin
+    incr failures;
+    Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
+  end
+
+(* One simulator trial under the gate, the machine seeded with the
+   trial's seed. *)
+let checked_trial ~scheme ~structure (cfg : Trial.cfg) =
+  Sim.set_config { base_sim_config with seed = cfg.seed };
+  let r = H.run ~scheme ~structure cfg in
+  gate r;
+  r
+
+(* The P2 verdict on one trial's max garbage.  A bounded scheme past its
+   bound is a failure of the reproduction, not an expected degradation,
+   and is counted as one.  [growth] says whether to report how an
+   unbounded scheme fared against the bound. *)
+let p2_verdict ~growth scheme mg bound =
+  if Registry.bounded_garbage scheme then
+    if mg <= bound then "bounded (P2 holds)"
+    else begin
+      incr failures;
+      "BOUND VIOLATION"
+    end
+  else if not growth then "no P2 claim"
+  else if mg > bound then "grew past bound (expected: no P2)"
+  else "under bound (no P2 claim)"
+
+(* HP/HE (and IBR) cannot run mark-traversing structures (P5). *)
+let p5_structure scheme =
+  if H.supported ~scheme ~structure:"harris-list" then "harris-list"
+  else "lazy-list"
+
+(* The standard seeded fault plan: 2 stalls, 1 crash, 25% of signals
+   delivered 20us late. *)
+let chaos_plan ~seed ~nthreads ~duration =
+  Nbr_fault.Fault_plan.chaos ~seed ~nthreads ~stalls:2 ~crashes:1
+    ~stall_ns:(duration / 2) ~ops_window:200
+    ~signal:
+      { Nbr_fault.Fault_plan.delay_pct = 25; delay_ns = 20_000; drop_pct = 0 }
+    ()
+
+(* One matrix with a row per thread count of [profile]; [cells nthreads]
+   gives the row's (column, text) pairs. *)
+let thread_matrix ~title ~cols profile cells =
+  let rows = List.map (fun n -> (string_of_int n, cells n)) profile.threads in
+  Table.print_matrix ~title ~col_header:"threads" ~cols ~rows
+    ~cell:(fun cells c ->
+      match List.assoc_opt c cells with Some v -> v | None -> "-")
+
+(* A section heading: a blank line, then the lines. *)
+let banner lines =
+  print_newline ();
+  List.iter print_endline lines
+
+(* Mean throughput and signal count over the profile's seeds. *)
 let run_point ~scheme ~structure ~profile ~key_range ~smr_threshold ~nthreads
-    ~ins ~del ?stall () =
-  let tput = ref 0.0 and peak = ref 0 and sigs = ref 0 in
+    ~ins ~del =
+  let tput = ref 0.0 and sigs = ref 0 in
   List.iter
     (fun seed ->
-      Sim.set_config { base_sim_config with seed };
-      let cfg =
-        Trial.Cfg.make ~nthreads ~duration_ns:profile.duration_ns ~key_range
-          ~ins_pct:ins ~del_pct:del
-          ~smr:
-            (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-               smr_threshold)
-          ~seed ?stall ()
+      let r =
+        checked_trial ~scheme ~structure
+          (Trial.Cfg.make ~nthreads ~duration_ns:profile.duration_ns ~key_range
+             ~ins_pct:ins ~del_pct:del ~smr:(smr smr_threshold) ~seed ())
       in
-      let r = H.run ~scheme ~structure cfg in
-      incr validated;
-      if not (Trial.valid r) then begin
-        incr failures;
-        Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-      end;
       tput := !tput +. r.throughput_mops;
-      peak := max !peak r.peak_unreclaimed;
       sigs := !sigs + r.signals)
     profile.seeds;
   let n = List.length profile.seeds in
-  (!tput /. float_of_int n, !peak, !sigs / n)
+  (!tput /. float_of_int n, !sigs / n)
 
 (* ------------------------------------------------------------------ *)
-(* E1: throughput sweeps (figures 3a, 3b, 5a, 5b, 6a, 6b).             *)
+(* E1 (figures 3a, 3b, 5a, 5b, 6a, 6b), E3 (k-NBR on multi-phase       *)
+(* structures, figures 4a, 4b) and EXT (structures beyond the paper):  *)
+(* throughput sweeps, one matrix per sweep and mix.                    *)
 
-let throughput_sweep ?(mixes = workloads) ~title ~structure ~schemes
-    ~key_range ~smr_threshold profile =
+type sweep = {
+  title : string;
+  structure : string;
+  schemes : string list;
+  key_range : int * int;  (** standard profile, quick profile *)
+  threshold : int;
+}
+
+let throughput_figures =
+  let mix50 = [ ("50i-50d", 50, 50) ] and mix25 = [ ("25i-25d", 25, 25) ] in
+  [
+    ( "fig3a",
+      ( workloads,
+        [ { title = "fig3a: DGT tree throughput (paper: 2M keys, 192 hw threads)";
+            structure = "dgt-tree"; schemes = e1_schemes;
+            key_range = (65536, 65536); threshold = 512 } ] ) );
+    ( "fig3b",
+      ( workloads,
+        [ { title = "fig3b: lazy list throughput (paper: 20K keys)";
+            structure = "lazy-list"; schemes = e1_schemes;
+            key_range = (2048, 512); threshold = 256 } ] ) );
+    ( "fig4a",
+      ( mix50,
+        [ { title =
+              "fig4a: (a,b)-tree with k-NBR, low contention (paper: 2M) and \
+               high contention (paper: 200)";
+            structure = "ab-tree"; schemes = e3_schemes;
+            key_range = (65536, 65536); threshold = 512 };
+          { title = "fig4a (high contention): (a,b)-tree, 200 keys";
+            structure = "ab-tree"; schemes = e3_schemes;
+            key_range = (200, 200); threshold = 64 } ] ) );
+    ( "fig4b",
+      ( mix50,
+        [ { title =
+              "fig4b: Harris list with k-NBR, low contention (paper: 20K) and \
+               high contention (paper: 200)";
+            structure = "harris-list"; schemes = e3_schemes;
+            key_range = (2048, 512); threshold = 256 };
+          { title = "fig4b (high contention): Harris list, 200 keys";
+            structure = "harris-list"; schemes = e3_schemes;
+            key_range = (200, 200); threshold = 64 } ] ) );
+    ( "fig5a",
+      ( workloads,
+        [ { title = "fig5a: DGT tree, large size (paper: 20M keys)";
+            structure = "dgt-tree"; schemes = e1_schemes;
+            key_range = (262144, 262144); threshold = 512 } ] ) );
+    ( "fig5b",
+      ( workloads,
+        [ { title =
+              "fig5b: DGT tree, small size / high contention (paper: 20K keys)";
+            structure = "dgt-tree"; schemes = e1_schemes;
+            key_range = (2048, 2048); threshold = 256 } ] ) );
+    ( "fig6a",
+      ( workloads,
+        [ { title = "fig6a: lazy list, moderate size (paper: 20K keys)";
+            structure = "lazy-list"; schemes = e1_schemes;
+            key_range = (2048, 512); threshold = 256 } ] ) );
+    ( "fig6b",
+      ( workloads,
+        [ { title =
+              "fig6b: lazy list, tiny size / extreme contention (paper: 200 \
+               keys)";
+            structure = "lazy-list"; schemes = e1_schemes;
+            key_range = (200, 200); threshold = 64 } ] ) );
+    ( "ext_structures",
+      ( mix25,
+        [ { title =
+              "EXT: hash set (Harris-list buckets) — short traversals, high \
+               allocation churn";
+            structure = "hash-set"; schemes = hash_set_schemes;
+            key_range = (16384, 16384); threshold = 256 };
+          { title =
+              "EXT: optimistic skiplist — up to 17 reservations per update \
+               (NBR's R << bag-size assumption stress)";
+            structure = "skip-list"; schemes = skip_list_schemes;
+            key_range = (16384, 16384); threshold = 256 };
+          { title = "EXT: hazard eras (HE) vs HP vs interval (IBR) on the DGT tree";
+            structure = "dgt-tree"; schemes = era_schemes;
+            key_range = (65536, 65536); threshold = 512 } ] ) );
+  ]
+
+let throughput_sweep id quick =
+  let p = profile quick in
+  let mixes, sweeps = List.assoc id throughput_figures in
   List.iter
-    (fun (wname, ins, del) ->
-      let rows =
-        List.map
-          (fun nthreads ->
-            let cells =
+    (fun s ->
+      let key_range = if quick then snd s.key_range else fst s.key_range in
+      List.iter
+        (fun (wname, ins, del) ->
+          thread_matrix
+            ~title:
+              (Printf.sprintf "%s | %s | %s | size=%d (Mops/s, simulated)"
+                 s.title s.structure wname key_range)
+            ~cols:s.schemes p
+            (fun nthreads ->
               List.map
                 (fun scheme ->
-                  if not (H.supported ~scheme ~structure) then (scheme, "n/a")
+                  if not (H.supported ~scheme ~structure:s.structure) then
+                    (scheme, "n/a")
                   else
-                    let t, _, _ =
-                      run_point ~scheme ~structure ~profile ~key_range
-                        ~smr_threshold ~nthreads ~ins ~del ()
+                    let t, _ =
+                      run_point ~scheme ~structure:s.structure ~profile:p
+                        ~key_range ~smr_threshold:s.threshold ~nthreads ~ins
+                        ~del
                     in
                     (scheme, Table.f3 t))
-                schemes
-            in
-            (string_of_int nthreads, cells))
-          profile.threads
-      in
-      Table.print_matrix
-        ~title:
-          (Printf.sprintf "%s | %s | %s | size=%d (Mops/s, simulated)" title
-             structure wname key_range)
-        ~col_header:"threads" ~cols:schemes ~rows
-        ~cell:(fun cells c ->
-          match List.assoc_opt c cells with Some v -> v | None -> "-"))
-    mixes
-
-let fig3a quick =
-  let p = if quick then quick_profile else std_profile in
-  throughput_sweep
-    ~title:"fig3a: DGT tree throughput (paper: 2M keys, 192 hw threads)"
-    ~structure:"dgt-tree" ~schemes:e1_schemes ~key_range:65536
-    ~smr_threshold:512 p
-
-let fig3b quick =
-  let p = if quick then quick_profile else std_profile in
-  throughput_sweep
-    ~title:"fig3b: lazy list throughput (paper: 20K keys)"
-    ~structure:"lazy-list" ~schemes:e1_schemes
-    ~key_range:(if quick then 512 else 2048)
-    ~smr_threshold:256 p
-
-let fig5a quick =
-  let p = if quick then quick_profile else std_profile in
-  throughput_sweep
-    ~title:"fig5a: DGT tree, large size (paper: 20M keys)"
-    ~structure:"dgt-tree" ~schemes:e1_schemes ~key_range:262144
-    ~smr_threshold:512 p
-
-let fig5b quick =
-  let p = if quick then quick_profile else std_profile in
-  throughput_sweep
-    ~title:"fig5b: DGT tree, small size / high contention (paper: 20K keys)"
-    ~structure:"dgt-tree" ~schemes:e1_schemes ~key_range:2048
-    ~smr_threshold:256 p
-
-let fig6a quick =
-  let p = if quick then quick_profile else std_profile in
-  throughput_sweep
-    ~title:"fig6a: lazy list, moderate size (paper: 20K keys)"
-    ~structure:"lazy-list" ~schemes:e1_schemes
-    ~key_range:(if quick then 512 else 2048)
-    ~smr_threshold:256 p
-
-let fig6b quick =
-  let p = if quick then quick_profile else std_profile in
-  throughput_sweep
-    ~title:"fig6b: lazy list, tiny size / extreme contention (paper: 200 keys)"
-    ~structure:"lazy-list" ~schemes:e1_schemes ~key_range:200 ~smr_threshold:64
-    p
-
-(* ------------------------------------------------------------------ *)
-(* E3: k-NBR on multi-phase structures (figures 4a, 4b).               *)
-
-let fig4a quick =
-  let p = if quick then quick_profile else std_profile in
-  let mixes = [ ("50i-50d", 50, 50) ] in
-  throughput_sweep ~mixes
-    ~title:
-      "fig4a: (a,b)-tree with k-NBR, low contention (paper: 2M) and high \
-       contention (paper: 200)"
-    ~structure:"ab-tree" ~schemes:e3_schemes ~key_range:65536
-    ~smr_threshold:512 p;
-  throughput_sweep ~mixes
-    ~title:"fig4a (high contention): (a,b)-tree, 200 keys"
-    ~structure:"ab-tree" ~schemes:e3_schemes ~key_range:200 ~smr_threshold:64 p
-
-let fig4b quick =
-  let p = if quick then quick_profile else std_profile in
-  let mixes = [ ("50i-50d", 50, 50) ] in
-  throughput_sweep ~mixes
-    ~title:
-      "fig4b: Harris list with k-NBR, low contention (paper: 20K) and high \
-       contention (paper: 200)"
-    ~structure:"harris-list" ~schemes:e3_schemes
-    ~key_range:(if quick then 512 else 2048)
-    ~smr_threshold:256 p;
-  throughput_sweep ~mixes
-    ~title:"fig4b (high contention): Harris list, 200 keys"
-    ~structure:"harris-list" ~schemes:e3_schemes ~key_range:200
-    ~smr_threshold:64 p
+                s.schemes))
+        mixes)
+    sweeps
 
 (* ------------------------------------------------------------------ *)
 (* E2: peak unreclaimed memory with and without a stalled thread       *)
 (* (figures 4c, 4d).                                                   *)
 
 let memory_experiment ~title ~stalled quick =
-  let p = if quick then quick_profile else std_profile in
+  let p = profile quick in
   let duration = p.duration_ns * 4 in
-  let schemes = [ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "hp" ] in
-  let rows =
-    List.map
-      (fun nthreads ->
-        let cells =
-          List.map
-            (fun scheme ->
-              Sim.set_config { base_sim_config with seed = 7 };
-              let stall =
-                if stalled then
-                  Some { Trial.stall_tid = 1; stall_ns = duration }
-                else None
-              in
-              let cfg =
-                Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range:65536
-                  ~ins_pct:50 ~del_pct:50
-                  ~smr:
-                    (Nbr_core.Smr_config.with_threshold
-                       Nbr_core.Smr_config.default 512)
-                  ~seed:7 ?stall ()
-              in
-              let r = H.run ~scheme ~structure:"dgt-tree" cfg in
-              incr validated;
-              if not (Trial.valid r) then begin
-                incr failures;
-                Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-              end;
-              (scheme, string_of_int r.peak_unreclaimed))
-            schemes
-        in
-        (string_of_int nthreads, cells))
-      p.threads
+  let stall =
+    if stalled then Some { Trial.stall_tid = 1; stall_ns = duration } else None
   in
-  Table.print_matrix ~title ~col_header:"threads" ~cols:schemes ~rows
-    ~cell:(fun cells c ->
-      match List.assoc_opt c cells with Some v -> v | None -> "-")
+  thread_matrix ~title ~cols:e2_schemes p (fun nthreads ->
+      List.map
+        (fun scheme ->
+          let r =
+            checked_trial ~scheme ~structure:"dgt-tree"
+              (Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range:65536
+                 ~ins_pct:50 ~del_pct:50 ~smr:(smr 512) ~seed:7 ?stall ())
+          in
+          (scheme, string_of_int r.peak_unreclaimed))
+        e2_schemes)
 
 let fig4c quick =
   memory_experiment
@@ -258,7 +321,7 @@ let fig4d quick =
 (* (stalls + a crash + delayed signals — the adversity §7 argues about).*)
 
 let chaos quick =
-  let p = if quick then quick_profile else std_profile in
+  let p = profile quick in
   let nthreads = 8 in
   let duration = p.duration_ns * 4 in
   (* Small key range: high churn per key keeps retire rates up, and keeps
@@ -266,96 +329,52 @@ let chaos quick =
      an epoch scheme tracking the crashed thread's *duration* visibly
      crosses it. *)
   let key_range = 128 in
-  let schemes =
-    [ "nbr+"; "nbr"; "ibr"; "hp"; "he"; "debra"; "qsbr"; "rcu"; "none" ]
-  in
   let seeds = if quick then [ 11 ] else [ 11; 12; 13 ] in
-  print_newline ();
-  print_endline
-    "## E2-chaos (§7): bounded-garbage invariant under a seeded fault plan";
-  print_endline
-    "   faults: 2 threads stalled at random ops, 1 thread crashed mid-op";
-  print_endline
-    "   (no end_op: announcements/reservations orphaned), 25% of signals";
-  print_endline
-    "   delivered 20us late.  Schemes claiming P2 must keep max per-thread";
-  print_endline
-    "   garbage under the bound; epoch schemes are expected to blow past it.";
+  banner
+    [
+      "## E2-chaos (§7): bounded-garbage invariant under a seeded fault plan";
+      "   faults: 2 threads stalled at random ops, 1 thread crashed mid-op";
+      "   (no end_op: announcements/reservations orphaned), 25% of signals";
+      "   delivered 20us late.  Schemes claiming P2 must keep max per-thread";
+      "   garbage under the bound; epoch schemes are expected to blow past it.";
+    ];
   List.iter
     (fun seed ->
-      let plan =
-        Nbr_fault.Fault_plan.chaos ~seed ~nthreads ~stalls:2 ~crashes:1
-          ~stall_ns:(duration / 2) ~ops_window:200
-          ~signal:
-            {
-              Nbr_fault.Fault_plan.delay_pct = 25;
-              delay_ns = 20_000;
-              drop_pct = 0;
-            }
-          ()
-      in
+      let plan = chaos_plan ~seed ~nthreads ~duration in
       Format.printf "@.seed %d: %a@." seed Nbr_fault.Fault_plan.pp plan;
       Printf.printf "%-8s %-12s %12s %8s %10s %9s  %s\n" "scheme" "structure"
         "max_garbage" "bound" "peak_garb" "pressure" "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            (* HP/HE cannot run mark-traversing structures (P5). *)
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
-          Sim.set_config { base_sim_config with seed };
+          let structure = p5_structure scheme in
           let cfg =
             Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
-              ~del_pct:50
-              ~smr:
-                (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-                   64)
-              ~seed ~faults:plan ()
+              ~del_pct:50 ~smr:(smr 64) ~seed ~faults:plan ()
           in
-          let r = H.run ~scheme ~structure cfg in
-          incr validated;
-          if not (Trial.valid r) then begin
-            incr failures;
-            Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-          end;
+          let r = checked_trial ~scheme ~structure cfg in
           let bound = Trial.garbage_bound cfg in
           let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
-          let verdict =
-            if Registry.bounded_garbage scheme then
-              if mg <= bound then "bounded (P2 holds)"
-              else begin
-                (* A bounded scheme exceeding the bound is a real failure
-                   of the reproduction, not an expected degradation. *)
-                incr failures;
-                "BOUND VIOLATION"
-              end
-            else if mg > bound then "grew past bound (expected: no P2)"
-            else "under bound (no P2 claim)"
-          in
           Printf.printf "%-8s %-12s %12d %8d %10d %9d  %s\n%!" scheme structure
-            mg bound r.peak_garbage r.pressure_events verdict)
-        schemes)
+            mg bound r.peak_garbage r.pressure_events
+            (p2_verdict ~growth:true scheme mg bound))
+        chaos_schemes)
     seeds
 
 (* ------------------------------------------------------------------ *)
 (* E2-churn: dynamic membership — workers leave and rejoin mid-trial.   *)
 
-(* One churn trial: run, validate, count lifecycle trace events, and
-   check the garbage bound for P2 schemes (orphans count against the
-   adopter, so the bound covers them).  Returns (max_garbage, bound,
-   orphans adopted, watchdog deaths, worst escalation round). *)
-let churn_trial ~scheme ~structure ~nthreads ~duration ~key_range ~seed
-    ?faults ~churn_ops () =
-  Sim.set_config { base_sim_config with seed };
+(* One churn trial: run, validate and count lifecycle trace events.
+   Returns (max_garbage, bound, orphans adopted, watchdog deaths, worst
+   escalation round).  A P2 scheme over the bound (orphans count against
+   the adopter, so the bound covers them) is reported here and counted
+   by the caller's {!p2_verdict}. *)
+let churn_trial ~scheme ~structure ~nthreads ~duration ~seed ?faults () =
   Nbr_obs.Trace.enable ~nthreads ();
   let cfg =
-    Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
-      ~del_pct:50
-      ~smr:(Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 64)
-      ~seed ?faults ~churn_ops ()
+    Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range:128 ~ins_pct:50
+      ~del_pct:50 ~smr:(smr 64) ~seed ?faults ~churn_ops:64 ()
   in
-  let r = H.run ~scheme ~structure cfg in
+  let r = checked_trial ~scheme ~structure cfg in
   let adopted = ref 0 and deaths = ref 0 and worst_round = ref 0 in
   List.iter
     (fun e ->
@@ -367,42 +386,26 @@ let churn_trial ~scheme ~structure ~nthreads ~duration ~key_range ~seed
       | _ -> ())
     (Nbr_obs.Trace.events ());
   Nbr_obs.Trace.clear ();
-  incr validated;
-  if not (Trial.valid r) then begin
-    incr failures;
-    Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-  end;
   let bound = Trial.garbage_bound cfg in
   let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
-  if Registry.bounded_garbage scheme && mg > bound then begin
-    incr failures;
+  if Registry.bounded_garbage scheme && mg > bound then
     Format.printf "VALIDATION FAILURE: %s/%s churn max_garbage %d > bound %d@."
-      scheme structure mg bound
-  end;
+      scheme structure mg bound;
   (mg, bound, !adopted, !deaths, !worst_round)
 
 let churn quick =
-  let p = if quick then quick_profile else std_profile in
+  let p = profile quick in
   let nthreads = 8 in
   let duration = p.duration_ns * 4 in
-  let key_range = 128 in
-  let schemes =
-    [ "nbr+"; "nbr"; "ibr"; "hp"; "he"; "debra"; "qsbr"; "rcu"; "none" ]
-  in
-  let seeds = if quick then [ 21 ] else [ 21; 22 ] in
-  print_newline ();
-  print_endline
-    "## E2-churn: dynamic membership (join/leave) across all schemes";
-  print_endline
-    "   Every worker but thread 0 deregisters and immediately re-registers";
-  print_endline
-    "   each 64 completed ops, orphaning its buffered retires for survivors";
-  print_endline
-    "   to adopt.  Set semantics must hold, P2 schemes must keep max garbage";
-  print_endline
-    "   under the bound counting orphans, and — with no faults injected —";
-  print_endline
-    "   the watchdog must never fire (a leaving thread is not a dead one).";
+  banner
+    [
+      "## E2-churn: dynamic membership (join/leave) across all schemes";
+      "   Every worker but thread 0 deregisters and immediately re-registers";
+      "   each 64 completed ops, orphaning its buffered retires for survivors";
+      "   to adopt.  Set semantics must hold, P2 schemes must keep max garbage";
+      "   under the bound counting orphans, and — with no faults injected —";
+      "   the watchdog must never fire (a leaving thread is not a dead one).";
+    ];
   List.iter
     (fun seed ->
       Printf.printf "\nseed %d (churn only):\n" seed;
@@ -410,13 +413,9 @@ let churn quick =
         "max_garbage" "bound" "adopted" "deaths" "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
+          let structure = p5_structure scheme in
           let mg, bound, adopted, deaths, _ =
-            churn_trial ~scheme ~structure ~nthreads ~duration ~key_range
-              ~seed ~churn_ops:64 ()
+            churn_trial ~scheme ~structure ~nthreads ~duration ~seed ()
           in
           (* No fault plan ⇒ the watchdog is disarmed; any death here means
              lifecycle state leaked across a clean deregister. *)
@@ -426,15 +425,11 @@ let churn quick =
               "VALIDATION FAILURE: %s spurious watchdog death under pure churn@."
               scheme
           end;
-          let verdict =
-            if Registry.bounded_garbage scheme then
-              if mg <= bound then "bounded (P2 holds)" else "BOUND VIOLATION"
-            else "no P2 claim"
-          in
           Printf.printf "%-8s %-12s %12d %8d %8d %7d  %s\n%!" scheme structure
-            mg bound adopted deaths verdict)
-        schemes)
-    seeds;
+            mg bound adopted deaths
+            (p2_verdict ~growth:false scheme mg bound))
+        churn_schemes)
+    (if quick then [ 21 ] else [ 21; 22 ]);
   (* Churn composed with the chaos plan: leavers, stallers and a crasher
      at once.  The watchdog may now legitimately declare stalled threads
      dead; what must still hold is the garbage bound (orphans included)
@@ -443,17 +438,7 @@ let churn quick =
   let wd_rounds = Nbr_core.Smr_config.default.Nbr_core.Smr_config.wd_rounds in
   List.iter
     (fun seed ->
-      let plan =
-        Nbr_fault.Fault_plan.chaos ~seed ~nthreads ~stalls:2 ~crashes:1
-          ~stall_ns:(duration / 2) ~ops_window:200
-          ~signal:
-            {
-              Nbr_fault.Fault_plan.delay_pct = 25;
-              delay_ns = 20_000;
-              drop_pct = 0;
-            }
-          ()
-      in
+      let plan = chaos_plan ~seed ~nthreads ~duration in
       Format.printf "@.seed %d (churn + chaos): %a@." seed
         Nbr_fault.Fault_plan.pp plan;
       Printf.printf "%-8s %-12s %12s %8s %8s %7s %6s  %s\n" "scheme"
@@ -461,13 +446,10 @@ let churn quick =
         "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
+          let structure = p5_structure scheme in
           let mg, bound, adopted, deaths, worst_round =
-            churn_trial ~scheme ~structure ~nthreads ~duration ~key_range
-              ~seed ~faults:plan ~churn_ops:64 ()
+            churn_trial ~scheme ~structure ~nthreads ~duration ~seed
+              ~faults:plan ()
           in
           if worst_round > wd_rounds then begin
             incr failures;
@@ -475,77 +457,32 @@ let churn quick =
               "VALIDATION FAILURE: %s handshake escalated to round %d (budget %d)@."
               scheme worst_round wd_rounds
           end;
-          let verdict =
-            if Registry.bounded_garbage scheme then
-              if mg <= bound then "bounded (P2 holds)" else "BOUND VIOLATION"
-            else if mg > bound then "grew past bound (expected: no P2)"
-            else "under bound (no P2 claim)"
-          in
           Printf.printf "%-8s %-12s %12d %8d %8d %7d %6d  %s\n%!" scheme
-            structure mg bound adopted deaths worst_round verdict)
-        schemes)
+            structure mg bound adopted deaths worst_round
+            (p2_verdict ~growth:true scheme mg bound))
+        churn_schemes)
     (if quick then [ 31 ] else [ 31; 32 ])
 
 (* ------------------------------------------------------------------ *)
 (* A1: signal-count ablation — NBR's O(n²) vs NBR+'s O(n) (paper §5).  *)
 
 let ablation_signals quick =
-  let p = if quick then quick_profile else std_profile in
-  let rows =
-    List.map
-      (fun nthreads ->
-        let cells =
-          List.concat_map
-            (fun scheme ->
-              let t, _, sigs =
-                run_point ~scheme ~structure:"dgt-tree" ~profile:p
-                  ~key_range:16384 ~smr_threshold:128 ~nthreads ~ins:50
-                  ~del:50 ()
-              in
-              [
-                (scheme ^ ":sig", string_of_int sigs);
-                (scheme ^ ":Mops", Table.f3 t);
-              ])
-            [ "nbr"; "nbr+" ]
-        in
-        (string_of_int nthreads, cells))
-      p.threads
-  in
-  Table.print_matrix
+  let p = profile quick in
+  thread_matrix
     ~title:
       "A1 (§5): signals sent per trial and throughput, NBR vs NBR+ — the \
        motivation for NBR+ (same reclamation, far fewer signals)"
-    ~col_header:"threads"
-    ~cols:[ "nbr:sig"; "nbr:Mops"; "nbr+:sig"; "nbr+:Mops" ]
-    ~rows
-    ~cell:(fun cells c ->
-      match List.assoc_opt c cells with Some v -> v | None -> "-")
-
-(* ------------------------------------------------------------------ *)
-(* EXT: structures beyond the paper's evaluation set.                  *)
-
-let ext_structures quick =
-  let p = if quick then quick_profile else std_profile in
-  let mixes = [ ("25i-25d", 25, 25) ] in
-  throughput_sweep ~mixes
-    ~title:
-      "EXT: hash set (Harris-list buckets) — short traversals, high \
-       allocation churn"
-    (* No ibr: hash-set buckets are Harris lists, whose mark-tagged
-       traversal era protection cannot cover (see Harness.unsupported). *)
-    ~structure:"hash-set" ~schemes:[ "nbr+"; "nbr"; "debra"; "qsbr"; "none" ]
-    ~key_range:16384 ~smr_threshold:256 p;
-  throughput_sweep ~mixes
-    ~title:
-      "EXT: optimistic skiplist — up to 17 reservations per update (NBR's \
-       R << bag-size assumption stress)"
-    ~structure:"skip-list"
-    ~schemes:[ "nbr+"; "nbr"; "debra"; "qsbr"; "rcu"; "ibr"; "none" ]
-    ~key_range:16384 ~smr_threshold:256 p;
-  throughput_sweep ~mixes
-    ~title:"EXT: hazard eras (HE) vs HP vs interval (IBR) on the DGT tree"
-    ~structure:"dgt-tree" ~schemes:[ "nbr+"; "hp"; "he"; "ibr" ]
-    ~key_range:65536 ~smr_threshold:512 p
+    ~cols:(List.concat_map (fun s -> [ s ^ ":sig"; s ^ ":Mops" ]) signal_schemes)
+    p
+    (fun nthreads ->
+      List.concat_map
+        (fun scheme ->
+          let t, sigs =
+            run_point ~scheme ~structure:"dgt-tree" ~profile:p ~key_range:16384
+              ~smr_threshold:128 ~nthreads ~ins:50 ~del:50
+          in
+          [ (scheme ^ ":sig", string_of_int sigs); (scheme ^ ":Mops", Table.f3 t) ])
+        signal_schemes)
 
 (* ------------------------------------------------------------------ *)
 (* A2: the end_read publication fence (§4.3, lines 11-12).             *)
@@ -563,19 +500,12 @@ let ablation_fences quick =
      window is narrow, so zeroes in the unsafe row mean "didn't manifest
      here", not "safe" — the simulator can't show this at all because its
      delivery is exact. *)
-  print_newline ();
-  print_endline
-    "## A2 (§4.3): end_read publication-race check on/off (native runtime)";
+  banner
+    [ "## A2 (§4.3): end_read publication-race check on/off (native runtime)" ];
   Printf.printf "%-10s %12s %12s %10s\n" "mode" "uaf-reads" "ops" "valid";
   List.iter
     (fun (label, unsafe) ->
-      let smr =
-        {
-          (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default 64)
-          with
-          Nbr_core.Smr_config.unsafe_end_read = unsafe;
-        }
-      in
+      let smr = { (smr 64) with Nbr_core.Smr_config.unsafe_end_read = unsafe } in
       let cfg =
         Trial.Cfg.make ~nthreads:6
           ~duration_ns:(if quick then 150_000_000 else 600_000_000)
@@ -583,10 +513,7 @@ let ablation_fences quick =
       in
       let r = HN.run ~scheme:"nbr+" ~structure:"lazy-list" cfg in
       (* Only the safe configuration counts towards the validation gate. *)
-      if not unsafe then begin
-        incr validated;
-        if not (Trial.valid r) then incr failures
-      end;
+      if not unsafe then gate r;
       Printf.printf "%-10s %12d %12d %10b\n%!" label r.uaf_reads r.total_ops
         (r.final_size = r.expected_size))
     [ ("safe", false); ("unsafe", true) ]
@@ -602,8 +529,7 @@ let ablation_fences quick =
 let reclaim quick =
   let nthreads = 8 in
   let key_range = 128 in
-  print_newline ();
-  print_endline "## E-reclaim (DESIGN.md §12): background reclaimer role";
+  banner [ "## E-reclaim (DESIGN.md §12): background reclaimer role" ];
   (* -- Part 1: update-heavy tail latency, inline vs healthy reclaimer.
      Threshold sweeps leave the hot path, so the p99/p99.9 of update
      operations (which pay for inline sweeps) should drop. *)
@@ -617,21 +543,12 @@ let reclaim quick =
     (fun scheme ->
       List.iter
         (fun (mode, reclaim) ->
-          Sim.set_config { base_sim_config with seed = 31 };
-          let cfg =
-            Trial.Cfg.make ~nthreads ~duration_ns:lat_duration ~key_range
-              ~ins_pct:50 ~del_pct:50
-              ~smr:
-                (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-                   64)
-              ~seed:31 ?reclaim ~record_latency:true ()
+          let r =
+            checked_trial ~scheme ~structure:"harris-list"
+              (Trial.Cfg.make ~nthreads ~duration_ns:lat_duration ~key_range
+                 ~ins_pct:50 ~del_pct:50 ~smr:(smr 64) ~seed:31 ?reclaim
+                 ~record_latency:true ())
           in
-          let r = H.run ~scheme ~structure:"harris-list" cfg in
-          incr validated;
-          if not (Trial.valid r) then begin
-            incr failures;
-            Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-          end;
           match r.latency with
           | None -> note_failure (scheme ^ ": latency recording lost")
           | Some l ->
@@ -647,12 +564,12 @@ let reclaim quick =
      the reclaimer's crash-with-restart must trace degrade → restore. *)
   let duration = if quick then 1_600_000 else 3_200_000 in
   let seeds = if quick then [ 41 ] else [ 41; 42 ] in
-  print_endline
-    "   Part 2 — pressure-chaos: 2 allocation hogs, 1 worker stall, 1 worker";
-  print_endline
-    "   crash, reclaimer stalled then crashed-with-restart.  Expect: zero";
-  print_endline
-    "   exhaustion, P2 bounds hold, trace shows degrade -> restore.";
+  List.iter print_endline
+    [
+      "   Part 2 — pressure-chaos: 2 allocation hogs, 1 worker stall, 1 worker";
+      "   crash, reclaimer stalled then crashed-with-restart.  Expect: zero";
+      "   exhaustion, P2 bounds hold, trace shows degrade -> restore.";
+    ];
   List.iter
     (fun seed ->
       let plan =
@@ -667,11 +584,7 @@ let reclaim quick =
         "verdict";
       List.iter
         (fun scheme ->
-          let structure =
-            if H.supported ~scheme ~structure:"harris-list" then "harris-list"
-            else "lazy-list"
-          in
-          Sim.set_config { base_sim_config with seed };
+          let structure = p5_structure scheme in
           let pool_capacity =
             (* Bounded-garbage claimants get a pool tight enough that
                the hogs are felt.  Epoch schemes keep the roomy default:
@@ -683,37 +596,19 @@ let reclaim quick =
           in
           let cfg =
             Trial.Cfg.make ~nthreads ~duration_ns:duration ~key_range ~ins_pct:50
-              ~del_pct:50
-              ~smr:
-                (Nbr_core.Smr_config.with_threshold Nbr_core.Smr_config.default
-                   64)
-              ~seed ~faults:plan ?pool_capacity
+              ~del_pct:50 ~smr:(smr 64) ~seed ~faults:plan ?pool_capacity
               ~reclaim:Nbr_reclaim.Reclaimer.On_pressure ()
           in
           Nbr_obs.Trace.enable ~capacity:131072 ~nthreads:(nthreads + 1) ();
-          (match H.run ~scheme ~structure cfg with
+          match checked_trial ~scheme ~structure cfg with
           | exception e ->
-              Nbr_obs.Trace.disable ();
               Nbr_obs.Trace.clear ();
               note_failure
                 (Printf.sprintf "%s/%s pressure-chaos raised %s" scheme
                    structure (Printexc.to_string e))
           | r ->
-              Nbr_obs.Trace.disable ();
               let evs = Nbr_obs.Trace.events () in
               Nbr_obs.Trace.clear ();
-              incr validated;
-              (* The unsafe-free foil exists to commit UAF; only set
-                 semantics are required of it here. *)
-              let semantics_ok =
-                if scheme = "unsafe-free" then
-                  r.Trial.final_size = r.Trial.expected_size
-                else Trial.valid r
-              in
-              if not semantics_ok then begin
-                incr failures;
-                Format.printf "VALIDATION FAILURE: %a@." Trial.pp_row r
-              end;
               let count k =
                 List.length
                   (List.filter (fun e -> e.Nbr_obs.Trace.e_kind = k) evs)
@@ -729,19 +624,10 @@ let reclaim quick =
                       restores)"
                      scheme structure degrades restores);
               let bound = Trial.garbage_bound cfg in
-              let mg = Nbr_core.Smr_stats.max_garbage r.Trial.smr_stats in
-              let verdict =
-                if Registry.bounded_garbage scheme then
-                  if mg <= bound then "bounded (P2 holds)"
-                  else begin
-                    incr failures;
-                    "BOUND VIOLATION"
-                  end
-                else "no P2 claim"
-              in
+              let mg = Nbr_core.Smr_stats.max_garbage r.smr_stats in
               Printf.printf "%-12s %-12s %12d %8d %9d %8d %8d  %s\n%!" scheme
-                structure mg bound degrades restores r.Trial.pressure_events
-                verdict))
+                structure mg bound degrades restores r.pressure_events
+                (p2_verdict ~growth:false scheme mg bound))
         H.scheme_names)
     seeds
 
@@ -749,18 +635,15 @@ let reclaim quick =
 (* U1: usability — reclamation-specific lines of code (paper §5.3).    *)
 
 let usability _quick =
-  print_newline ();
-  print_endline "## U1 (§5.3): reclamation-specific integration effort";
-  print_endline
-    "Paper: NBR needed ~10 extra lines vs ~30 for HP in lazylist+DGT.";
-  print_endline
-    "Ours (calls a data structure must add per scheme, lazy list):";
-  print_endline
-    "  debra: 2 (begin_op/end_op)                      [paper: simplest]";
-  print_endline
-    "  nbr/nbr+: 2 + 1 phase split + reservation array [paper: ~10 lines]";
-  print_endline
-    "  hp: per-dereference protect + validate + restart [paper: ~30 lines]";
+  banner
+    [
+      "## U1 (§5.3): reclamation-specific integration effort";
+      "Paper: NBR needed ~10 extra lines vs ~30 for HP in lazylist+DGT.";
+      "Ours (calls a data structure must add per scheme, lazy list):";
+      "  debra: 2 (begin_op/end_op)                      [paper: simplest]";
+      "  nbr/nbr+: 2 + 1 phase split + reservation array [paper: ~10 lines]";
+      "  hp: per-dereference protect + validate + restart [paper: ~30 lines]";
+    ];
   print_endline
     "In this codebase the phase protocol is factored into Smr.phase, so the \
      counts show up as: DEBRA-style schemes ignore the reservation argument; \
@@ -772,10 +655,14 @@ let usability _quick =
 
 let all : (string * string * (bool -> unit)) list =
   [
-    ("fig3a", "DGT tree throughput, 3 workloads (E1)", fig3a);
-    ("fig3b", "lazy list throughput, 3 workloads (E1)", fig3b);
-    ("fig4a", "(a,b)-tree k-NBR throughput (E3)", fig4a);
-    ("fig4b", "Harris list k-NBR throughput (E3)", fig4b);
+    ("fig3a", "DGT tree throughput, 3 workloads (E1)",
+     fun q -> throughput_sweep "fig3a" q);
+    ("fig3b", "lazy list throughput, 3 workloads (E1)",
+     fun q -> throughput_sweep "fig3b" q);
+    ("fig4a", "(a,b)-tree k-NBR throughput (E3)",
+     fun q -> throughput_sweep "fig4a" q);
+    ("fig4b", "Harris list k-NBR throughput (E3)",
+     fun q -> throughput_sweep "fig4b" q);
     ("fig4c", "peak memory with stalled thread (E2)", fig4c);
     ("fig4d", "peak memory without stalled thread (E2)", fig4d);
     ("chaos", "bounded garbage under seeded fault plans (E2-chaos)", chaos);
@@ -784,12 +671,16 @@ let all : (string * string * (bool -> unit)) list =
     ( "reclaim",
       "background reclaimer: tail latency + pressure-chaos (DESIGN.md s.12)",
       reclaim );
-    ("fig5a", "DGT tree, large size (appendix B)", fig5a);
-    ("fig5b", "DGT tree, small size (appendix B)", fig5b);
-    ("fig6a", "lazy list, moderate size (appendix B)", fig6a);
-    ("fig6b", "lazy list, tiny size (appendix B)", fig6b);
+    ("fig5a", "DGT tree, large size (appendix B)",
+     fun q -> throughput_sweep "fig5a" q);
+    ("fig5b", "DGT tree, small size (appendix B)",
+     fun q -> throughput_sweep "fig5b" q);
+    ("fig6a", "lazy list, moderate size (appendix B)",
+     fun q -> throughput_sweep "fig6a" q);
+    ("fig6b", "lazy list, tiny size (appendix B)",
+     fun q -> throughput_sweep "fig6b" q);
     ("ext_structures", "extension: hash set, skiplist, hazard eras",
-     ext_structures);
+     fun q -> throughput_sweep "ext_structures" q);
     ("ablation_signals", "NBR vs NBR+ signal counts (§5)", ablation_signals);
     ("ablation_fences", "end_read publication-race check on/off (§4.3)",
      ablation_fences);

@@ -14,6 +14,7 @@ let () =
       ("properties", Test_properties.suite);
       ("fault", Test_fault.suite);
       ("reclaim", Test_reclaim.suite);
+      ("registry", Test_registry.suite);
       ("lifecycle", Test_lifecycle.suite);
       ("native-runtime", Test_native.suite);
       ("obs", Test_obs.suite);

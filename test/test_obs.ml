@@ -118,6 +118,22 @@ let test_trace_chrome_json_shape () =
   Alcotest.(check bool) "object braces" true
     (String.length js > 2 && js.[0] = '{' && js.[String.length js - 1] = '\n')
 
+(* The file a driver's --trace-out writes is exactly to_chrome_json, and
+   the reported counts are the surviving and the overwritten events. *)
+let test_trace_write_chrome_json () =
+  Tr.enable ~capacity:2 ~nthreads:1 ();
+  List.iter (fun ns -> Tr.emit ~tid:0 ~ns Tr.Reclaim 0 0) [ 1; 2; 3 ];
+  Tr.disable ();
+  let path = Filename.temp_file "nbr_trace" ".json" in
+  let events, dropped = Tr.write_chrome_json path in
+  let ic = open_in_bin path in
+  let written = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check (pair int int)) "events, dropped" (2, 1) (events, dropped);
+  Alcotest.(check string) "file body" (Tr.to_chrome_json ()) written;
+  Tr.clear ()
+
 (* ------------------------------------------------------------------ *)
 (* The acceptance timeline: a neutralized reader's four events arrive   *)
 (* in causal order under the deterministic simulator.                   *)
@@ -285,6 +301,8 @@ let suite =
       test_trace_merge_sorted;
     Alcotest.test_case "trace: chrome json shape" `Quick
       test_trace_chrome_json_shape;
+    Alcotest.test_case "trace: write chrome json" `Quick
+      test_trace_write_chrome_json;
     Alcotest.test_case "sim: neutralization timeline order" `Quick
       test_sim_neutralization_timeline;
     Alcotest.test_case "pressure: nbr recovers" `Quick test_pressure_nbr;

@@ -327,6 +327,29 @@ let prop_bound_under_reclaimer_fates =
       T.valid r
       && Nbr_core.Smr_stats.max_garbage r.T.smr_stats <= T.garbage_bound cfg)
 
+(* The command-line spelling of a policy: what is accepted, and that
+   everything else is refused rather than silently meaning "none". *)
+let test_policy_of_string () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check bool) ("accepts " ^ s) true (R.policy_of_string s = want))
+    [
+      ("none", None);
+      ("pressure", Some R.On_pressure);
+      ("periodic:20000", Some (R.Periodic { interval_ns = 20_000 }));
+      ("after:64", Some (R.After_n_retires { n = 64 }));
+      ("after:1", Some (R.After_n_retires { n = 1 }));
+    ];
+  List.iter
+    (fun s ->
+      match R.policy_of_string s with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "accepted %S" s)
+    [
+      "periodic:0"; "after:-1"; "after:"; "bogus"; ""; "periodic"; "after";
+      "periodic:x"; "pressure:5"; ":5"; "Pressure";
+    ]
+
 let suite =
   List.map healthy_case HS.scheme_names
   @ [
@@ -345,4 +368,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_bound_under_reclaimer_fates;
       Alcotest.test_case "handoff round trip, every scheme" `Quick
         test_handoff_round_trip;
+      Alcotest.test_case "policy_of_string accepts and rejects" `Quick
+        test_policy_of_string;
     ]
