@@ -8,7 +8,9 @@
      nbr_bench trial --scheme nbr+ --structure dgt-tree --threads 32 \
        --range 65536 --ins 50 --del 50 --duration-ms 2 --cores 16
      nbr_bench trial --runtime native --scheme debra --structure lazy-list \
-       --threads 4 --duration-ms 500 *)
+       --threads 4 --duration-ms 500
+     nbr_bench micro --quick --runtime both --out-dir bench-out
+     nbr_bench check BENCH_native.json bench-out/BENCH_native.json *)
 
 open Cmdliner
 
@@ -19,11 +21,21 @@ module H_nat = Nbr_workload.Harness.Make (Nat)
 module T = Nbr_workload.Trial
 module E = Nbr_workload.Experiments
 
+(* Command-line errors exit 2 (not cmdliner's 124), like every other
+   request nbr_bench refuses. *)
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info 1 ~doc:"when a run fails validation, or $(b,check) fails its gate.";
+      info 2 ~doc:"on bad command-line input or an unreadable file.";
+    ]
+
 (* ---------------- list ---------------- *)
 
 let list_cmd =
   let doc = "List available experiments (one per paper table/figure)." in
-  Cmd.v (Cmd.info "list" ~doc)
+  Cmd.v (Cmd.info "list" ~doc ~exits)
     Term.(
       const (fun () ->
           List.iter
@@ -90,7 +102,7 @@ let figure_cmd =
     "Regenerate paper figures/tables, in $(b,list) order; exits 1 on any \
      validation failure."
   in
-  Cmd.v (Cmd.info "figure" ~doc) Term.(const run $ ids_arg $ quick_arg)
+  Cmd.v (Cmd.info "figure" ~doc ~exits) Term.(const run $ ids_arg $ quick_arg)
 
 (* ---------------- trial ---------------- *)
 
@@ -288,22 +300,66 @@ let trial_cmd =
     if not (T.valid r) then exit 1
   in
   let doc = "Run one ad-hoc trial with explicit parameters." in
-  Cmd.v (Cmd.info "trial" ~doc)
+  Cmd.v (Cmd.info "trial" ~doc ~exits)
     Term.(
       const run $ scheme $ structure $ runtime $ threads $ cores
       $ granularity $ quantum $ range $ ins $ del $ duration_ms $ threshold
       $ seed $ stall_ms $ chaos $ churn $ trace_out $ reclaim
       $ pressure_chaos)
 
+(* ---------------- micro, check ---------------- *)
+
+let micro_cmd =
+  let quick =
+    Arg.(value & flag & info [ "quick" ] ~doc:"Fewer iterations per bench.")
+  in
+  let runtime =
+    Arg.(
+      value
+      & opt (enum [ ("native", `Native); ("sim", `Sim); ("both", `Both) ]) `Both
+      & info [ "runtime" ] ~doc:"Runtime(s) to bench: native, sim or both.")
+  in
+  let out_dir =
+    Arg.(
+      value & opt dir "."
+      & info [ "out-dir" ] ~docv:"D" ~doc:"Directory for BENCH_<runtime>.json.")
+  in
+  let alloc_only =
+    Arg.(
+      value & flag
+      & info [ "alloc-only" ] ~doc:"Run only the pool alloc/free benches.")
+  in
+  let doc =
+    "Run the hot-path micro-benchmarks and write BENCH_<runtime>.json."
+  in
+  Cmd.v (Cmd.info "micro" ~doc ~exits)
+    Term.(
+      const (fun quick runtime out_dir alloc_only ->
+          Micro.run ~quick ~runtime ~out_dir ~alloc_only)
+      $ quick $ runtime $ out_dir $ alloc_only)
+
+let check_cmd =
+  let file n docv = Arg.(required & pos n (some file) None & info [] ~docv) in
+  let doc =
+    "Regression gate: exit 1 if a gated key of BASELINE is missing from \
+     CURRENT or more than 2x its baseline value, 2 if a file is unreadable."
+  in
+  Cmd.v (Cmd.info "check" ~doc ~exits)
+    Term.(
+      const (fun b c -> Stdlib.exit (Micro.check b c))
+      $ file 0 "BASELINE" $ file 1 "CURRENT")
+
 (* ---------------- main ---------------- *)
 
 let () =
   let doc = "NBR (PPoPP'21) reproduction benchmarks" in
-  let info = Cmd.info "nbr_bench" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "nbr_bench" ~version:"1.0.0" ~doc ~exits in
   (* [~catch:false] so pool exhaustion reaches us instead of cmdliner's
      generic backtrace: it is an expected outcome of undersized trials
      (or of running the leaky scheme long enough), not a crash. *)
-  match Cmd.eval ~catch:false (Cmd.group info [ list_cmd; figure_cmd; trial_cmd ]) with
+  let cmds = [ list_cmd; figure_cmd; trial_cmd; micro_cmd; check_cmd ] in
+  match Cmd.eval ~catch:false (Cmd.group info cmds) with
+  | code when code = Cmd.Exit.cli_error -> exit 2
   | code -> exit code
   | exception Nbr_pool.Pool.Exhausted x ->
       Format.eprintf
